@@ -8,15 +8,18 @@ base, and target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .kb import (
     KnowledgeBase,
     LicenseFramework,
+    LicenseProfile,
     Requirement,
     Restriction,
     Revocability,
+    Rule,
     Usage,
     usage_requirement,
 )
@@ -26,12 +29,17 @@ from .model import (
     EdgeKind,
     PublishManner,
     WorkflowGraph,
+    closure,
+    edge_parents,
 )
 from .reasoner import (
     DeferredConflict,
-    RequestRecord,
+    RulingRecord,
     license_conflicts,
-    work_members,
+    member_licenses,
+    relicense_constraints,
+    rulings_by_work,
+    written_licenses,
 )
 from .reports import Report, ReportCode, Severity, make_report, sort_reports
 
@@ -86,18 +94,7 @@ def dependency_closure(
     graph: WorkflowGraph, work_id: str, kinds: tuple[EdgeKind, ...]
 ) -> set[str]:
     """The work plus everything reachable backwards over the given edges."""
-    parents: dict[str, list[str]] = {}
-    for edge in graph.edges:
-        if edge.kind in kinds:
-            parents.setdefault(edge.target, []).append(edge.source)
-    closure = {work_id}
-    stack = [work_id]
-    while stack:
-        for parent in parents.get(stack.pop(), ()):
-            if parent not in closure:
-                closure.add(parent)
-                stack.append(parent)
-    return closure
+    return closure(work_id, edge_parents(graph, kinds))
 
 
 def published_targets(graph: WorkflowGraph) -> list[str]:
@@ -109,245 +106,226 @@ def published_targets(graph: WorkflowGraph) -> list[str]:
     )
 
 
-def _publisher_of(graph: WorkflowGraph, work_id: str) -> ActionNode:
-    for action in graph.actions.values():
-        if action.kind is ActionKind.PUBLISH and action.output == work_id:
-            return action
-    raise NotPublished(f"work '{work_id}' is not the output of a publish action")
+@dataclass
+class _Facts:
+    """What one analysis reads of a reasoned graph, each fact looked up once."""
+
+    graph: WorkflowGraph
+    kb: KnowledgeBase
+    target: str
+    manner: PublishManner
+    full: set[str]
+    contained: set[str]
+    members: dict[str, set[str]]
+    rulings: dict[str, list[RulingRecord]]
+    conflicts: list[DeferredConflict]
 
 
-def _report(code: ReportCode, graph: WorkflowGraph, subject: str, target: str) -> Report:
-    return make_report(code, subject, graph.works[subject].name, target)
+def _facts(graph: WorkflowGraph, kb: KnowledgeBase, published: str) -> _Facts:
+    if published not in graph.works:
+        raise NotPublished(f"unknown work '{published}'")
+    manner = next(
+        (
+            action.publish_manner
+            for action in graph.actions.values()
+            if action.kind is ActionKind.PUBLISH and action.output == published
+        ),
+        None,
+    )
+    if manner is None:
+        raise NotPublished(
+            f"work '{published}' is not the output of a publish action"
+        )
+    return _Facts(
+        graph=graph,
+        kb=kb,
+        target=published,
+        manner=manner,
+        full=dependency_closure(graph, published, _FULL_KINDS),
+        contained=dependency_closure(graph, published, _MS_KINDS),
+        members=member_licenses(graph, kb, written_licenses(graph)),
+        rulings=rulings_by_work(graph),
+        conflicts=license_conflicts(graph, kb),
+    )
 
 
-def check_nonstandard_licensing(
-    graph: WorkflowGraph, kb: KnowledgeBase, scope: set[str]
-) -> list[Report]:
+def _report(facts: _Facts, code: ReportCode, subject: str) -> Report:
+    name = facts.graph.works[subject].name
+    return make_report(code, subject, name, facts.target)
+
+
+def _profiles(facts: _Facts, work_id: str) -> list[LicenseProfile]:
+    """Known profiles of the licenses speaking for a work; unknown ids are skipped."""
+    kb = facts.kb
+    return [kb.licenses[lic] for lic in facts.members[work_id] if lic in kb.licenses]
+
+
+def _scoped_rulings(
+    facts: _Facts, scope: set[str]
+) -> Iterator[tuple[RulingRecord, Rule]]:
+    """(ruling, rule) for every ruling on a work in scope whose rule is known."""
+    for wid in scope:
+        for record in facts.rulings.get(wid, ()):
+            rule = facts.kb.rules.get(record.rule)
+            if rule is not None:
+                yield record, rule
+
+
+def check_nonstandard_licensing(facts: _Facts) -> list[Report]:
     """W1 when a work sits under a license not meant for its material type."""
     reports = []
-    for wid in sorted(scope):
-        work = graph.works[wid]
-        for license_id in sorted(work_members(graph, kb, wid)):
-            profile = kb.licenses.get(license_id)
-            if profile is None:
-                continue
-            if profile.framework is LicenseFramework.PUBLIC_DOMAIN_LIKE:
-                continue
-            if work.work_type not in profile.intended_types:
-                reports.append(_report(ReportCode.W1, graph, wid, wid))
-                break
+    for wid in facts.full:
+        work_type = facts.graph.works[wid].work_type
+        if any(
+            profile.framework is not LicenseFramework.PUBLIC_DOMAIN_LIKE
+            and work_type not in profile.intended_types
+            for profile in _profiles(facts, wid)
+        ):
+            reports.append(_report(facts, ReportCode.W1, wid))
     return reports
 
 
-def check_revocability(
-    graph: WorkflowGraph, kb: KnowledgeBase, scope: set[str]
-) -> list[Report]:
+def check_revocability(facts: _Facts) -> list[Report]:
     """W2 under revocable licenses, W3 where revocability is unstated."""
     reports = []
-    for wid in sorted(scope):
-        revocable = unstated = False
-        for license_id in work_members(graph, kb, wid):
-            profile = kb.licenses.get(license_id)
-            if profile is None:
-                continue
-            if profile.revocable is Revocability.YES:
-                revocable = True
-            elif profile.revocable is Revocability.UNSTATED:
-                unstated = True
-        if revocable:
-            reports.append(_report(ReportCode.W2, graph, wid, wid))
-        if unstated:
-            reports.append(_report(ReportCode.W3, graph, wid, wid))
+    for wid in facts.full:
+        stances = {profile.revocable for profile in _profiles(facts, wid)}
+        if Revocability.YES in stances:
+            reports.append(_report(facts, ReportCode.W2, wid))
+        if Revocability.UNSTATED in stances:
+            reports.append(_report(facts, ReportCode.W3, wid))
     return reports
 
 
-def _rights_reports(
-    graph: WorkflowGraph, kb: KnowledgeBase, records: list[RequestRecord]
-) -> list[Report]:
+def _rights_reports(facts: _Facts) -> list[Report]:
+    """E2/E4 for reserved rights, W4 for rights the license never mentions."""
+    graph, kb = facts.graph, facts.kb
     reports = []
-    for record in records:
-        reserved = not_stated = False
-        for license_id in work_members(graph, kb, record.target_work):
-            if license_id not in kb.licenses:
-                continue
-            requirement = usage_requirement(kb, license_id, record.usage)
-            if requirement is Requirement.RESERVED:
-                reserved = True
-            elif requirement is Requirement.NOT_STATED:
-                not_stated = True
-        if reserved:
+    for record in graph.requests:
+        if graph.actions[record.action].output not in facts.full:
+            continue
+        requirements = {
+            usage_requirement(kb, license_id, record.usage)
+            for license_id in facts.members[record.target_work]
+            if license_id in kb.licenses
+        }
+        if Requirement.RESERVED in requirements:
             code = (
                 ReportCode.E4
                 if record.usage is Usage.SUBLICENSE
                 else ReportCode.E2
             )
-            reports.append(_report(code, graph, record.target_work, record.target_work))
-        if not_stated:
-            reports.append(
-                _report(ReportCode.W4, graph, record.target_work, record.target_work)
-            )
+            reports.append(_report(facts, code, record.target_work))
+        if Requirement.NOT_STATED in requirements:
+            reports.append(_report(facts, ReportCode.W4, record.target_work))
     return reports
 
 
-def check_rights_granting(graph: WorkflowGraph, kb: KnowledgeBase) -> list[Report]:
-    """E2/E4 for reserved rights, W4 for rights the license never mentions."""
-    return _rights_reports(graph, kb, list(graph.requests))
-
-
-def _sorted_rulings(graph: WorkflowGraph):
-    return sorted(graph.rulings, key=lambda r: (r.work, r.relied_work, r.rule))
-
-
-def check_publish_restrictions(
-    graph: WorkflowGraph,
-    kb: KnowledgeBase,
-    published: str,
-    manner: PublishManner,
-) -> list[Report]:
+def check_publish_restrictions(facts: _Facts) -> list[Report]:
     """Notices and warnings carried by the rulings behind a publication.
 
     Restrictions conditioned on publication stay silent for internal
     releases; restrictions on use apply regardless.
     """
-    scope = dependency_closure(graph, published, _MS_KINDS)
+    manner = facts.manner
     reports = []
-    for record in _sorted_rulings(graph):
-        if record.work not in scope:
-            continue
-        rule = kb.rules.get(record.rule)
-        if rule is None:
-            continue
+    for record, rule in _scoped_rulings(facts, facts.contained):
         subject = record.relied_work
         if manner is not PublishManner.INTERNAL:
-            for restriction in sorted(rule.publish_restrictions, key=lambda r: r.value):
+            for restriction in rule.publish_restrictions:
                 code = _PUBLISH_RESTRICTION_CODES.get(restriction)
                 if code is not None:
-                    reports.append(_report(code, graph, subject, published))
-        for restriction in sorted(rule.use_restrictions, key=lambda r: r.value):
+                    reports.append(_report(facts, code, subject))
+        for restriction in rule.use_restrictions:
             code = _USE_RESTRICTION_CODES.get(restriction)
             if code is not None:
-                reports.append(_report(code, graph, subject, published))
+                reports.append(_report(facts, code, subject))
             elif (
                 restriction is Restriction.NON_COMMERCIAL_OUTPUT
                 and manner is PublishManner.SELL
             ):
-                reports.append(_report(ReportCode.E5, graph, subject, published))
+                reports.append(_report(facts, ReportCode.E5, subject))
         if not rule.allow_sharing and manner in (
             PublishManner.SHARE,
             PublishManner.SELL,
         ):
-            reports.append(_report(ReportCode.E3, graph, subject, published))
+            reports.append(_report(facts, ReportCode.E3, subject))
     return reports
 
 
-def _exclusive_members(graph: WorkflowGraph, kb: KnowledgeBase, work_id: str) -> bool:
+def _exclusive_members(facts: _Facts, work_id: str) -> bool:
     """Whether the work's licensing adds exclusive terms of its own."""
-    for license_id in work_members(graph, kb, work_id):
-        profile = kb.licenses.get(license_id)
-        if profile is None:
-            continue
-        if profile.framework is LicenseFramework.PUBLIC_DOMAIN_LIKE:
-            continue
-        if Usage.COMMERCIAL in profile.reserved:
-            return True
-        if any(rule.use_restrictions for rule in profile.rules):
-            return True
-    return False
+    return any(
+        profile.framework is not LicenseFramework.PUBLIC_DOMAIN_LIKE
+        and (
+            Usage.COMMERCIAL in profile.reserved
+            or any(rule.use_restrictions for rule in profile.rules)
+        )
+        for profile in _profiles(facts, work_id)
+    )
 
 
-def _relicense_forbidden(
-    graph: WorkflowGraph, kb: KnowledgeBase, work_id: str, new_license: str
-) -> bool:
-    none_allowed: set[str] = set()
-    compat_only: set[str] = set()
-    for record in graph.rulings:
-        if record.work != work_id:
-            continue
-        rule = kb.rules.get(record.rule)
-        if rule is None:
-            continue
-        if rule.relicense.value == "none":
-            none_allowed.add(rule.license)
-        elif rule.relicense.value == "compatible":
-            compat_only.add(rule.license)
-    if any(license_id != new_license for license_id in none_allowed):
+def _relicense_forbidden(facts: _Facts, work_id: str, new_license: str) -> bool:
+    """Whether the terms the work answers to forbid registering `new_license`."""
+    kb = facts.kb
+    none_allowed, compat_only = relicense_constraints(
+        facts.rulings.get(work_id, ()), kb
+    )
+    if none_allowed - {new_license}:
         return True
-    if compat_only:
-        allowed: set[str] | None = None
-        for license_id in sorted(compat_only):
-            profile = kb.licenses.get(license_id)
-            if profile is None:
-                continue
-            allowed = (
-                set(profile.compatible_with)
-                if allowed is None
-                else allowed & profile.compatible_with
-            )
-        if allowed is not None and new_license not in allowed:
-            return True
-    for license_id in work_members(graph, kb, work_id):
-        profile = kb.licenses.get(license_id)
-        if profile is not None and Usage.RELICENSE in profile.reserved:
-            return True
-    return False
+    if any(
+        new_license not in kb.licenses[license_id].compatible_with
+        for license_id in compat_only
+        if license_id in kb.licenses
+    ):
+        return True
+    return any(
+        Usage.RELICENSE in profile.reserved for profile in _profiles(facts, work_id)
+    )
 
 
-def check_conflicts(
-    graph: WorkflowGraph, kb: KnowledgeBase, published: str
-) -> list[Report]:
+def check_conflicts(facts: _Facts) -> list[Report]:
     """Relicensing, exclusivity, and copyleft-collision errors (E6 to E10)."""
-    full = dependency_closure(graph, published, _FULL_KINDS)
-    ms_scope = dependency_closure(graph, published, _MS_KINDS)
+    graph, full = facts.graph, facts.full
     reports = []
 
-    for action in sorted(graph.actions.values(), key=lambda a: a.id):
-        if action.kind is not ActionKind.REGISTER_LICENSE:
+    # Deriving actions inside the closure, by each distinct work they consume.
+    consumers: dict[str, list[ActionNode]] = {}
+    for action in graph.actions.values():
+        if action.output not in full:
             continue
-        if action.output not in full or action.license_to_register is None:
-            continue
-        source = action.inputs[0].work
-        if _relicense_forbidden(graph, kb, source, action.license_to_register):
-            reports.append(_report(ReportCode.E6, graph, action.output, published))
+        if (
+            action.kind is ActionKind.REGISTER_LICENSE
+            and action.license_to_register is not None
+            and _relicense_forbidden(
+                facts, action.inputs[0].work, action.license_to_register
+            )
+        ):
+            reports.append(_report(facts, ReportCode.E6, action.output))
+        if action.kind in _DERIVING_KINDS:
+            for work_id in {inp.work for inp in action.inputs}:
+                consumers.setdefault(work_id, []).append(action)
 
-    published_exclusive = _exclusive_members(graph, kb, published)
-    for record in _sorted_rulings(graph):
-        if record.work not in ms_scope:
-            continue
-        rule = kb.rules.get(record.rule)
-        if rule is None:
-            continue
-        if published_exclusive and Restriction.GNU_FREEDOM in rule.publish_restrictions:
-            reports.append(_report(ReportCode.E7, graph, record.relied_work, published))
-        if published_exclusive and Restriction.CC_FREEDOM in rule.publish_restrictions:
-            reports.append(_report(ReportCode.E8, graph, record.relied_work, published))
+    if _exclusive_members(facts, facts.target):
+        for record, rule in _scoped_rulings(facts, facts.contained):
+            if Restriction.GNU_FREEDOM in rule.publish_restrictions:
+                reports.append(_report(facts, ReportCode.E7, record.relied_work))
+            if Restriction.CC_FREEDOM in rule.publish_restrictions:
+                reports.append(_report(facts, ReportCode.E8, record.relied_work))
 
-    for record in _sorted_rulings(graph):
-        if record.work not in full:
-            continue
-        rule = kb.rules.get(record.rule)
-        if rule is None or Restriction.LLAMA_EXCLUSIVE not in rule.use_restrictions:
-            continue
-        for action in sorted(graph.actions.values(), key=lambda a: a.id):
-            if action.kind not in _DERIVING_KINDS:
-                continue
-            if action.output not in full:
-                continue
-            if all(inp.work != record.work for inp in action.inputs):
-                continue
-            if graph.works[action.output].license != rule.license:
-                reports.append(_report(ReportCode.E9, graph, record.work, published))
-
-    for conflict in license_conflicts(graph, kb):
+    for conflict in facts.conflicts:
         if conflict.work in full:
-            reports.append(_report(ReportCode.E10, graph, conflict.work, published))
-    for record in _sorted_rulings(graph):
-        if record.work not in full:
-            continue
-        rule = kb.rules.get(record.rule)
-        if rule is None or Restriction.EXCLUSIVE_TERMS not in rule.publish_restrictions:
-            continue
-        if graph.works[record.work].license != rule.license:
-            reports.append(_report(ReportCode.E10, graph, record.work, published))
+            reports.append(_report(facts, ReportCode.E10, conflict.work))
+    for record, rule in _scoped_rulings(facts, full):
+        if Restriction.LLAMA_EXCLUSIVE in rule.use_restrictions:
+            for action in consumers.get(record.work, ()):
+                if graph.works[action.output].license != rule.license:
+                    reports.append(_report(facts, ReportCode.E9, record.work))
+        if (
+            Restriction.EXCLUSIVE_TERMS in rule.publish_restrictions
+            and graph.works[record.work].license != rule.license
+        ):
+            reports.append(_report(facts, ReportCode.E10, record.work))
     return reports
 
 
@@ -364,30 +342,19 @@ def analyze_publication(
     graph: WorkflowGraph, kb: KnowledgeBase, published: str
 ) -> AnalysisResult:
     """Run every compliance check against one published work."""
-    if published not in graph.works:
-        raise NotPublished(f"unknown work '{published}'")
-    publisher = _publisher_of(graph, published)
-    manner = publisher.publish_manner
-    assert manner is not None
-    full = dependency_closure(graph, published, _FULL_KINDS)
-
+    facts = _facts(graph, kb, published)
     reports: list[Report] = []
-    reports.extend(check_nonstandard_licensing(graph, kb, full))
-    reports.extend(check_revocability(graph, kb, full))
-    in_scope = [
-        record
-        for record in graph.requests
-        if graph.actions[record.action].output in full
-    ]
-    reports.extend(_rights_reports(graph, kb, in_scope))
-    reports.extend(check_publish_restrictions(graph, kb, published, manner))
-    reports.extend(check_conflicts(graph, kb, published))
-
-    reports = sort_reports([replace(report, target=published) for report in reports])
-    conflicts = [c for c in license_conflicts(graph, kb) if c.work in full]
+    reports.extend(check_nonstandard_licensing(facts))
+    reports.extend(check_revocability(facts))
+    reports.extend(_rights_reports(facts))
+    reports.extend(check_publish_restrictions(facts))
+    reports.extend(check_conflicts(facts))
+    # Reports with equal sort keys are equal, so the order the checks
+    # emit them in never shows.
+    reports = sort_reports(reports)
     return AnalysisResult(
         target=published,
         reports=reports,
-        deferred_conflicts=conflicts,
+        deferred_conflicts=[c for c in facts.conflicts if c.work in facts.full],
         exit_class=exit_class_of(reports),
     )

@@ -3,7 +3,8 @@
 Subcommands: analyze (full pipeline on a workflow file), validate
 (parse and structural checks only), licenses (knowledge base listing),
 explain (report code reference). Exit codes: 0 clean, 1 warnings only,
-2 errors, 3 usage or input failure.
+2 errors, 3 usage or input failure, including license ids unknown to the
+loaded knowledge base.
 """
 
 from __future__ import annotations
@@ -14,19 +15,18 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .analyzer import (
     AnalysisResult,
     ExitClass,
-    NotPublished,
     analyze_publication,
     exit_class_of,
     published_targets,
 )
 from .interchange import InterchangeError, export_dot, parse_workflow
 from .kb import KBError, KnowledgeBase, bundled_rules_dir, load_kb
-from .model import GraphError, validate_graph
+from .model import GraphError, WorkflowGraph, validate_graph
 from .reasoner import run_all
 from .reports import Report, parse_code, render, sort_reports
 
@@ -102,12 +102,27 @@ def _print_reports_human(reports: list[Report], heading: Optional[str]) -> None:
     print(f"  total: {errors} errors, {warnings} warnings, {notices} notices")
 
 
-def _exit_code(reports: list[Report]) -> int:
-    return {
-        ExitClass.CLEAN: EXIT_OK,
-        ExitClass.WARNINGS: EXIT_WARNINGS,
-        ExitClass.ERRORS: EXIT_ERRORS,
-    }[exit_class_of(reports)]
+_EXIT_CODES = {
+    ExitClass.CLEAN: EXIT_OK,
+    ExitClass.WARNINGS: EXIT_WARNINGS,
+    ExitClass.ERRORS: EXIT_ERRORS,
+}
+
+
+def _unknown_licenses(graph: WorkflowGraph, kb: KnowledgeBase) -> list[str]:
+    """Each declared or registered license id the loaded KB does not know."""
+    unknown = [
+        f"work '{wid}' declares unknown license '{work.license}'"
+        for wid, work in sorted(graph.works.items())
+        if work.license is not None and work.license not in kb.licenses
+    ]
+    unknown += [
+        f"action '{aid}' registers unknown license '{action.license_to_register}'"
+        for aid, action in sorted(graph.actions.items())
+        if action.license_to_register is not None
+        and action.license_to_register not in kb.licenses
+    ]
+    return unknown
 
 
 def cmd_analyze(path: str, config: CliConfig) -> int:
@@ -119,6 +134,11 @@ def cmd_analyze(path: str, config: CliConfig) -> int:
         graph = parse_workflow(_read_file(path))
     except (InterchangeError, GraphError, OSError) as err:
         return _fail(str(err))
+    # The reasoner skips licenses it does not know, so an unknown id
+    # would silently drop every finding it should have raised.
+    unknown = _unknown_licenses(graph, kb)
+    if unknown:
+        return _fail("; ".join(unknown))
 
     structural = validate_graph(graph)
     if structural:
@@ -132,20 +152,21 @@ def cmd_analyze(path: str, config: CliConfig) -> int:
         return EXIT_ERRORS
 
     reasoned, _stats = run_all(graph, kb, config.fuzz)
-    targets = [config.target] if config.target else published_targets(reasoned)
-    results: list[AnalysisResult] = []
-    try:
-        for target in targets:
-            results.append(analyze_publication(reasoned, kb, target))
-    except NotPublished as err:
-        return _fail(str(err))
+    targets = published_targets(reasoned)
+    if config.target:
+        if config.target not in targets:
+            return _fail(
+                f"work '{config.target}' is not the output of a publish action"
+            )
+        targets = [config.target]
+    # Each target is analysed as its output is written, so the reports of
+    # every target are never held at once.
+    results: Iterable[AnalysisResult] = (
+        analyze_publication(reasoned, kb, target) for target in targets
+    )
 
-    all_reports = [report for result in results for report in result.reports]
-    if config.output == "structured":
-        for result in results:
-            for report in result.reports:
-                print(_structured_line(report))
-    elif config.output == "dot":
+    if config.output == "dot":
+        all_reports = [report for result in results for report in result.reports]
         merged = AnalysisResult(
             target=",".join(targets),
             reports=sort_reports(all_reports),
@@ -153,13 +174,21 @@ def cmd_analyze(path: str, config: CliConfig) -> int:
             exit_class=exit_class_of(all_reports),
         )
         print(export_dot(reasoned, merged), end="")
-    else:
+        return _EXIT_CODES[merged.exit_class]
+
+    if config.output == "human":
         print(DISCLAIMER)
-        if not results:
+        if not targets:
             print("no published works to analyze")
-        for result in results:
+    worst = ExitClass.CLEAN
+    for result in results:
+        worst = max(worst, result.exit_class, key=lambda c: c.value)
+        if config.output == "structured":
+            for report in result.reports:
+                print(_structured_line(report))
+        else:
             _print_reports_human(result.reports, f"published work {result.target}")
-    return _exit_code(all_reports)
+    return _EXIT_CODES[worst]
 
 
 def cmd_validate(path: str, config: Optional[CliConfig] = None) -> int:

@@ -382,10 +382,9 @@ def parse_workflow(text: str) -> WorkflowGraph:
     for subject in order:
         for predicate, obj in by_subject[subject]:
             if predicate == "a":
-                assert isinstance(obj, Ident)
                 if subject in classes:
                     raise SemanticError(f"'{subject}' declared with two classes")
-                classes[subject] = obj.local
+                classes[subject] = _as_ident(obj, subject, "class")
     for subject in order:
         if subject not in classes:
             raise SemanticError(f"'{subject}' has no class declaration")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .reports import Report, ReportCode, make_report
 
@@ -214,12 +214,29 @@ def add_work(graph: WorkflowGraph, work: Work) -> None:
     graph.works[work.id] = work
 
 
-def producer_of(graph: WorkflowGraph, work_id: str) -> Optional[ActionNode]:
-    """Return the action producing a work, or None for original works."""
-    for action in graph.actions.values():
-        if action.output == work_id:
-            return action
-    return None
+def edge_parents(
+    graph: WorkflowGraph, kinds: tuple[EdgeKind, ...]
+) -> dict[str, list[str]]:
+    """Sources of the edges of the given kinds, by target, each list sorted."""
+    parents: dict[str, list[str]] = {}
+    for edge in graph.edges:
+        if edge.kind in kinds:
+            parents.setdefault(edge.target, []).append(edge.source)
+    for sources in parents.values():
+        sources.sort()
+    return parents
+
+
+def closure(start: str, parents: Mapping[str, Iterable[str]]) -> set[str]:
+    """`start` plus every id reachable from it backwards through `parents`."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for parent in parents.get(stack.pop(), ()):
+            if parent not in seen:
+                seen.add(parent)
+                stack.append(parent)
+    return seen
 
 
 def _check_arity(graph: WorkflowGraph, action: ActionNode) -> None:
@@ -279,22 +296,6 @@ def _check_arity(graph: WorkflowGraph, action: ActionNode) -> None:
             )
 
 
-def _ancestor_works(graph: WorkflowGraph, work_id: str) -> set[str]:
-    """All works reachable backwards through producing actions."""
-    seen: set[str] = set()
-    stack = [work_id]
-    while stack:
-        current = stack.pop()
-        producer = producer_of(graph, current)
-        if producer is None:
-            continue
-        for inp in producer.inputs:
-            if inp.work not in seen:
-                seen.add(inp.work)
-                stack.append(inp.work)
-    return seen
-
-
 def add_action(graph: WorkflowGraph, action: ActionNode) -> None:
     if action.id in graph.actions or action.id in graph.works:
         raise DuplicateId(f"id {action.id!r} is already used in this graph")
@@ -304,7 +305,11 @@ def add_action(graph: WorkflowGraph, action: ActionNode) -> None:
     if action.output not in graph.works:
         raise UnknownWork(f"action {action.id!r}: unknown output work {action.output!r}")
     _check_arity(graph, action)
-    if producer_of(graph, action.output) is not None:
+    producer_inputs = {
+        other.output: [inp.work for inp in other.inputs]
+        for other in graph.actions.values()
+    }
+    if action.output in producer_inputs:
         raise DoubleProducer(
             f"work {action.output!r} is already produced by another action"
         )
@@ -319,7 +324,7 @@ def add_action(graph: WorkflowGraph, action: ActionNode) -> None:
     if action.output in input_ids:
         raise CycleIntroduced(f"action {action.id!r}: output is also an input")
     for work_id in input_ids:
-        if action.output in _ancestor_works(graph, work_id):
+        if action.output in closure(work_id, producer_inputs):
             raise CycleIntroduced(
                 f"action {action.id!r}: output {action.output!r} already feeds "
                 f"input {work_id!r}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Mapping, Optional
 
 from .kb import (
     KnowledgeBase,
@@ -32,6 +32,8 @@ from .model import (
     Origin,
     PublishManner,
     WorkflowGraph,
+    closure,
+    edge_parents,
     toposort_actions,
 )
 
@@ -154,16 +156,6 @@ def derive_compositional(graph: WorkflowGraph) -> WorkflowGraph:
     return graph
 
 
-def _mixwork_parents(graph: WorkflowGraph) -> dict[str, list[str]]:
-    parents: dict[str, list[str]] = {}
-    for edge in graph.edges:
-        if edge.kind is EdgeKind.MIXWORK:
-            parents.setdefault(edge.target, []).append(edge.source)
-    for sources in parents.values():
-        sources.sort()
-    return parents
-
-
 def _user_licensed_ids(graph: WorkflowGraph) -> set[str]:
     return {
         wid
@@ -242,12 +234,14 @@ def _relied_paths(
     return results
 
 
-def _resolve_license(
-    work_id: str,
-    rulings: list[RulingRecord],
-    kb: KnowledgeBase,
-) -> tuple[str, Optional[DeferredConflict]]:
-    """Pick the license a work's rulings force on it, or record a conflict."""
+def relicense_constraints(
+    rulings: Iterable[RulingRecord], kb: KnowledgeBase
+) -> tuple[set[str], set[str]]:
+    """Licenses a work's rulings pin it to, and those that only admit compatibles.
+
+    The first set holds the licenses of rules that allow no relicensing,
+    the second those of rules that allow compatible licenses only.
+    """
     none_allowed: set[str] = set()
     compat_only: set[str] = set()
     for record in rulings:
@@ -258,6 +252,16 @@ def _resolve_license(
             none_allowed.add(rule.license)
         elif rule.relicense is RelicensePolicy.COMPATIBLE_ONLY:
             compat_only.add(rule.license)
+    return none_allowed, compat_only
+
+
+def _resolve_license(
+    work_id: str,
+    rulings: list[RulingRecord],
+    kb: KnowledgeBase,
+) -> tuple[str, Optional[DeferredConflict]]:
+    """Pick the license a work's rulings force on it, or record a conflict."""
+    none_allowed, compat_only = relicense_constraints(rulings, kb)
 
     def conflicted() -> tuple[str, DeferredConflict]:
         implicated = tuple(sorted(none_allowed | compat_only))
@@ -286,7 +290,7 @@ def _resolve_license(
     return result, None
 
 
-def _rulings_by_work(graph: WorkflowGraph) -> dict[str, list[RulingRecord]]:
+def rulings_by_work(graph: WorkflowGraph) -> dict[str, list[RulingRecord]]:
     by_work: dict[str, list[RulingRecord]] = {}
     for record in graph.rulings:
         by_work.setdefault(record.work, []).append(record)
@@ -299,7 +303,7 @@ def _license_snapshot(
     """Current license of every work, recomputed from the rulings."""
     user_licensed = _user_licensed_ids(graph)
     registered = _registered_outputs(graph)
-    by_work = _rulings_by_work(graph)
+    by_work = rulings_by_work(graph)
     assigned: dict[str, str] = {}
     conflicts: list[DeferredConflict] = []
     for wid in _topo_work_order(graph):
@@ -315,55 +319,44 @@ def _license_snapshot(
     return assigned, conflicts
 
 
-def _member_licenses(
-    graph: WorkflowGraph,
-    kb: KnowledgeBase,
-    assigned: dict[str, str],
-    user_licensed: set[str],
+def member_licenses(
+    graph: WorkflowGraph, kb: KnowledgeBase, licenses: Mapping[str, Optional[str]]
 ) -> dict[str, set[str]]:
-    """Licenses that can speak for each work.
+    """Licenses that can speak for each work, given the license of every work.
 
     A declared license speaks alone. A derived work answers to its
-    assigned license plus every license whose non-waiving rules fired on
-    it, because any of those could still claim the work.
+    license plus every license whose non-waiving rules fired on it,
+    because any of those could still claim the work.
     """
-    by_work = _rulings_by_work(graph)
-    members: dict[str, set[str]] = {}
-    for wid in graph.works:
-        if wid in user_licensed:
-            members[wid] = {graph.works[wid].license}  # type: ignore[arg-type]
+    declared = _user_licensed_ids(graph)
+    members = {
+        wid: set() if license_id is None else {license_id}
+        for wid, license_id in licenses.items()
+    }
+    for record in graph.rulings:
+        if record.work in declared:
             continue
-        licenses = {assigned[wid]}
-        for record in by_work.get(wid, []):
-            rule = kb.rules.get(record.rule)
-            if rule is not None and rule.relicense is not RelicensePolicy.ANY:
-                licenses.add(rule.license)
-        members[wid] = licenses
+        rule = kb.rules.get(record.rule)
+        if rule is not None and rule.relicense is not RelicensePolicy.ANY:
+            members[record.work].add(rule.license)
     return members
+
+
+def written_licenses(graph: WorkflowGraph) -> dict[str, Optional[str]]:
+    """The license each work carries on the graph, None where unset."""
+    return {wid: work.license for wid, work in graph.works.items()}
 
 
 def work_members(graph: WorkflowGraph, kb: KnowledgeBase, work_id: str) -> set[str]:
     """Licenses that can speak for one work of a fully reasoned graph."""
-    work = graph.works[work_id]
-    if work.license is not None and work.origin is Origin.USER_DECLARED:
-        return {work.license}
-    members: set[str] = set()
-    if work.license is not None:
-        members.add(work.license)
-    for record in graph.rulings:
-        if record.work != work_id:
-            continue
-        rule = kb.rules.get(record.rule)
-        if rule is not None and rule.relicense is not RelicensePolicy.ANY:
-            members.add(rule.license)
-    return members
+    return member_licenses(graph, kb, written_licenses(graph))[work_id]
 
 
 def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int:
     """Accumulate rulings until neither rulings nor licenses move."""
     user_licensed = _user_licensed_ids(graph)
     producers = {a.output: a for a in graph.actions.values()}
-    mix_parents = _mixwork_parents(graph)
+    mix_parents = edge_parents(graph, (EdgeKind.MIXWORK,))
     actions = toposort_actions(graph)
     paths_by_action = {
         action.id: _relied_paths(graph, action, mix_parents, user_licensed, producers)
@@ -376,7 +369,7 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
         iterations += 1
         assert iterations <= bound, "ruling fixpoint exceeded its keyspace bound"
         assigned, _ = _license_snapshot(graph, kb)
-        members = _member_licenses(graph, kb, assigned, user_licensed)
+        members = member_licenses(graph, kb, assigned)
         fresh: list[RulingRecord] = []
         for action in actions:
             out_form = graph.works[action.output].form
@@ -433,21 +426,10 @@ def license_conflicts(
     return conflicts
 
 
-def _mixwork_closure(work_id: str, mix_parents: dict[str, list[str]]) -> set[str]:
-    seen: set[str] = set()
-    stack = [work_id]
-    while stack:
-        current = stack.pop()
-        for parent in mix_parents.get(current, ()):
-            if parent not in seen:
-                seen.add(parent)
-                stack.append(parent)
-    return seen
-
-
 def derive_requests(graph: WorkflowGraph, kb: KnowledgeBase) -> WorkflowGraph:
     """Derive the usage rights each action needs, licenses already settled."""
-    mix_parents = _mixwork_parents(graph)
+    mix_parents = edge_parents(graph, (EdgeKind.MIXWORK,))
+    members = member_licenses(graph, kb, written_licenses(graph))
     known = {
         (r.action, r.source_work, r.target_work, r.usage) for r in graph.requests
     }
@@ -456,11 +438,10 @@ def derive_requests(graph: WorkflowGraph, kb: KnowledgeBase) -> WorkflowGraph:
         if not usages:
             continue
         for inp in action.inputs:
-            targets = {inp.work} | _mixwork_closure(inp.work, mix_parents)
-            for target in sorted(targets):
+            for target in sorted(closure(inp.work, mix_parents)):
                 for usage in sorted(usages, key=lambda u: u.value):
                     if usage is Usage.SUBLICENSE and _sublicense_waived(
-                        graph, kb, target
+                        kb, members[target]
                     ):
                         continue
                     key = (action.id, inp.work, target, usage)
@@ -477,11 +458,11 @@ def derive_requests(graph: WorkflowGraph, kb: KnowledgeBase) -> WorkflowGraph:
     return graph
 
 
-def _sublicense_waived(graph: WorkflowGraph, kb: KnowledgeBase, work_id: str) -> bool:
-    """True when every license speaking for the work waives sublicensing."""
+def _sublicense_waived(kb: KnowledgeBase, members: set[str]) -> bool:
+    """True when every license speaking for a work waives sublicensing."""
     requirements = [
         usage_requirement(kb, license_id, Usage.SUBLICENSE)
-        for license_id in work_members(graph, kb, work_id)
+        for license_id in members
         if license_id in kb.licenses
     ]
     return bool(requirements) and all(

@@ -38,6 +38,8 @@ from licflow import (
     run_all,
 )
 
+from oracleutil import naive_reports
+
 # ---------------------------------------------------------------------------
 # Graph builders
 # ---------------------------------------------------------------------------
@@ -212,7 +214,12 @@ def reason_and_analyze(
     fuzz: bool = True,
 ):
     reasoned, _ = run_all(graph, kb, fuzz=fuzz)
-    return reasoned, analyze_publication(reasoned, kb, published)
+    result = analyze_publication(reasoned, kb, published)
+    # Every hand-built scenario doubles as an analyzer oracle case.
+    assert report_multiset(result.reports) == Counter(
+        naive_reports(reasoned, kb, published)
+    )
+    return reasoned, result
 
 
 def code_multiset(reports: Iterable[Report]) -> Counter:

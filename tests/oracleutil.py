@@ -15,9 +15,12 @@ from licflow import (
     ActionKind,
     InputRole,
     KnowledgeBase,
+    LicenseFramework,
     Origin,
     PublishManner,
     RelicensePolicy,
+    Restriction,
+    Revocability,
     Usage,
     WorkflowGraph,
     WorkForm,
@@ -367,3 +370,190 @@ def _all_waive(
     return all(
         kb.profile(m).sublicense_waived_by_auto_relicense for m in members
     )
+
+
+# ---------------------------------------------------------------------------
+# Reports
+# ---------------------------------------------------------------------------
+
+_FULL_EDGES = ("mixwork", "subwork", "auxwork")
+_CONTAINED_EDGES = ("mixwork", "subwork")
+
+_DERIVING = (
+    ActionKind.MODIFY,
+    ActionKind.AMALGAMATE,
+    ActionKind.TRAIN,
+    ActionKind.COMBINE,
+    ActionKind.DISTILL,
+    ActionKind.EMBED,
+)
+
+_PUBLISH_NOTICES = {
+    Restriction.INCLUDE_LICENSE: "N1",
+    Restriction.INCLUDE_NOTICE: "N2",
+    Restriction.STATE_CHANGES: "N3",
+    Restriction.IMPACT_REPORT: "N4",
+    Restriction.DISCLOSE_SELF: "W5",
+    Restriction.DISCLOSE_UNMODIFIED: "W6",
+}
+_USE_NOTICES = {
+    Restriction.USE_BEHAVIOR: "W7",
+    Restriction.RUNTIME_CONTROL: "W8",
+}
+
+
+def _edge_ancestors(
+    graph: WorkflowGraph, work_id: str, kinds: tuple[str, ...]
+) -> set[str]:
+    """The work plus every work that reaches it backwards over the given edges."""
+    closure = {work_id}
+    changed = True
+    while changed:
+        changed = False
+        for edge in graph.edges:
+            if (
+                edge.kind.value in kinds
+                and edge.target in closure
+                and edge.source not in closure
+            ):
+                closure.add(edge.source)
+                changed = True
+    return closure
+
+
+def _answer(kb: KnowledgeBase, license_id: str, usage: Usage) -> str:
+    profile = kb.licenses[license_id]
+    if usage is Usage.SUBLICENSE and profile.sublicense_waived_by_auto_relicense:
+        return "waived"
+    if usage in profile.granted:
+        return "granted"
+    if usage in profile.reserved:
+        return "reserved"
+    return "not stated"
+
+
+def naive_reports(
+    graph: WorkflowGraph, kb: KnowledgeBase, target: str
+) -> list[tuple[str, str, str]]:
+    """(code, subject, target) for every finding on one published work.
+
+    Works on a reasoned graph and re-derives each N/W/E code from its
+    catalog definition. E1 is a structural code raised before reasoning,
+    so it never appears here.
+    """
+    manner = next(
+        act.publish_manner
+        for act in graph.actions.values()
+        if act.kind is ActionKind.PUBLISH and act.output == target
+    )
+    rulings = {(r.work, r.relied_work, r.rule) for r in graph.rulings}
+    full = _edge_ancestors(graph, target, _FULL_EDGES)
+    contained = _edge_ancestors(graph, target, _CONTAINED_EDGES)
+    found: list[tuple[str, str]] = []
+
+    def members(work_id: str) -> set[str]:
+        return naive_members(graph, kb, work_id, rulings)
+
+    for wid in full:
+        profiles = [kb.licenses[lic] for lic in members(wid)]
+        # W1: a non public-domain license not meant for the work's type.
+        if any(
+            p.framework is not LicenseFramework.PUBLIC_DOMAIN_LIKE
+            and graph.works[wid].work_type not in p.intended_types
+            for p in profiles
+        ):
+            found.append(("W1", wid))
+        # W2 / W3: revocable, or revocability never stated.
+        if any(p.revocable is Revocability.YES for p in profiles):
+            found.append(("W2", wid))
+        if any(p.revocable is Revocability.UNSTATED for p in profiles):
+            found.append(("W3", wid))
+        # E10: the work's rulings admit no consistent license.
+        if naive_license_of(graph, kb, wid, rulings) is None:
+            found.append(("E10", wid))
+
+    # E2 / E4 / W4: one finding per rights request made inside the closure.
+    for req in graph.requests:
+        if graph.actions[req.action].output not in full:
+            continue
+        answers = {_answer(kb, lic, req.usage) for lic in members(req.target_work)}
+        if "reserved" in answers:
+            code = "E4" if req.usage is Usage.SUBLICENSE else "E2"
+            found.append((code, req.target_work))
+        if "not stated" in answers:
+            found.append(("W4", req.target_work))
+
+    # The publication adds exclusive terms of its own.
+    exclusive = any(
+        Usage.COMMERCIAL in p.reserved or any(r.use_restrictions for r in p.rules)
+        for p in (kb.licenses[lic] for lic in members(target))
+        if p.framework is not LicenseFramework.PUBLIC_DOMAIN_LIKE
+    )
+    sharing = manner in (PublishManner.SHARE, PublishManner.SELL)
+    for record in graph.rulings:
+        rule = kb.rules[record.rule]
+        subject = record.relied_work
+        if record.work in contained:
+            if manner is not PublishManner.INTERNAL:
+                for restriction in rule.publish_restrictions:
+                    if restriction in _PUBLISH_NOTICES:
+                        found.append((_PUBLISH_NOTICES[restriction], subject))
+            for restriction in rule.use_restrictions:
+                if restriction in _USE_NOTICES:
+                    found.append((_USE_NOTICES[restriction], subject))
+            if (
+                Restriction.NON_COMMERCIAL_OUTPUT in rule.use_restrictions
+                and manner is PublishManner.SELL
+            ):
+                found.append(("E5", subject))
+            if sharing and not rule.allow_sharing:
+                found.append(("E3", subject))
+            if exclusive and Restriction.GNU_FREEDOM in rule.publish_restrictions:
+                found.append(("E7", subject))
+            if exclusive and Restriction.CC_FREEDOM in rule.publish_restrictions:
+                found.append(("E8", subject))
+        if record.work not in full:
+            continue
+        # E9 fires once per Llama ruling and deriving action that feeds
+        # the ruled work into a non-Llama output, as the engine does; the
+        # catalog leaves that multiplicity open.
+        if Restriction.LLAMA_EXCLUSIVE in rule.use_restrictions:
+            for act in graph.actions.values():
+                if (
+                    act.kind in _DERIVING
+                    and act.output in full
+                    and any(inp.work == record.work for inp in act.inputs)
+                    and graph.works[act.output].license != rule.license
+                ):
+                    found.append(("E9", record.work))
+        if (
+            Restriction.EXCLUSIVE_TERMS in rule.publish_restrictions
+            and graph.works[record.work].license != rule.license
+        ):
+            found.append(("E10", record.work))
+
+    # E6: a registered license that the source's terms forbid.
+    for act in graph.actions.values():
+        if act.kind is not ActionKind.REGISTER_LICENSE or act.output not in full:
+            continue
+        source = act.inputs[0].work
+        new = act.license_to_register
+        terms = [kb.rules[rule_id] for (wk, _, rule_id) in rulings if wk == source]
+        forbidden = (
+            any(
+                rule.relicense is RelicensePolicy.NONE_ALLOWED and rule.license != new
+                for rule in terms
+            )
+            or any(
+                rule.relicense is RelicensePolicy.COMPATIBLE_ONLY
+                and new not in kb.licenses[rule.license].compatible_with
+                for rule in terms
+            )
+            or any(
+                Usage.RELICENSE in kb.licenses[lic].reserved for lic in members(source)
+            )
+        )
+        if forbidden:
+            found.append(("E6", act.output))
+
+    return [(code, subject, target) for code, subject in found]

@@ -215,6 +215,59 @@ def test_analyze_rejects_a_missing_file(tmp_path, capsys):
     assert "licflow: error:" in capsys.readouterr().err
 
 
+def test_analyze_rejects_a_literal_class(tmp_path, capsys):
+    path = tmp_path / "literal.mgw"
+    path.write_text(
+        '@prefix mg: <urn:licflow:v1#> .\nmg:X a "Work" .\n', encoding="utf-8"
+    )
+    code = main(["analyze", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "licflow: error: class of 'X' must be an identifier" in err
+
+
+def test_analyze_rejects_an_unknown_declared_license(
+    setting_paths, tmp_path, capsys
+):
+    # Unknown ids would otherwise be skipped by every check and turn
+    # this E9/W2 workflow into a clean one.
+    path = tmp_path / "misspelt.mgw"
+    path.write_text(
+        setting_paths["llama"].read_text().replace('"Llama2"', '"Lama2"'),
+        encoding="utf-8",
+    )
+    code = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "work 'L' declares unknown license 'Lama2'" in captured.err
+
+
+def test_analyze_rejects_an_unknown_registered_license(tmp_path, capsys):
+    path = tmp_path / "register.mgw"
+    path.write_text(
+        CLEAN_WORKFLOW
+        + """
+mg:R a mg:Work ;
+   mg:name "Relicensed" ;
+   mg:workType "model" ;
+   mg:workForm "weights" .
+
+mg:reg a mg:RegisterLicenseAction ;
+   mg:hasInput mg:M ;
+   mg:hasOutput mg:R ;
+   mg:registersLicense "No-Such-License" .
+""",
+        encoding="utf-8",
+    )
+    code = main(["analyze", str(path)])
+    assert code == EXIT_USAGE
+    assert (
+        "action 'reg' registers unknown license 'No-Such-License'"
+        in capsys.readouterr().err
+    )
+
+
 def test_analyze_stops_on_structural_failures(tmp_path, capsys):
     path = tmp_path / "mismatch.mgw"
     path.write_text(MISMATCHED_WORKFLOW, encoding="utf-8")
@@ -290,16 +343,20 @@ def test_kb_flag_wins_over_the_env_var(tmp_path, monkeypatch, capsys):
 
 
 def test_analyze_honors_the_kb_env_var(tmp_path, monkeypatch, capsys):
-    # With only the custom profile loaded, seed license ids are unknown
-    # to the reasoner, so the MG0 release resolves to the default
-    # license instead of staying clean.
+    # With only the custom profile loaded, the seed id MG0 is unknown and
+    # Custom-1 is known; the bundled set says the opposite.
     (tmp_path / "custom.mgl").write_text(CUSTOM_PROFILE, encoding="utf-8")
     monkeypatch.setenv(KB_ENV_VAR, str(tmp_path))
-    path = tmp_path / "clean.mgw"
-    path.write_text(CLEAN_WORKFLOW, encoding="utf-8")
-    code = main(["analyze", str(path)])
-    capsys.readouterr()
-    assert code in (EXIT_OK, EXIT_WARNINGS)
+    seed_licensed = tmp_path / "seed.mgw"
+    seed_licensed.write_text(CLEAN_WORKFLOW, encoding="utf-8")
+    custom_licensed = tmp_path / "custom.mgw"
+    custom_licensed.write_text(
+        CLEAN_WORKFLOW.replace('"MG0"', '"Custom-1"'), encoding="utf-8"
+    )
+    assert main(["analyze", str(seed_licensed)]) == EXIT_USAGE
+    assert "unknown license 'MG0'" in capsys.readouterr().err
+    assert main(["analyze", str(custom_licensed)]) == EXIT_WARNINGS
+    assert "subject M" in capsys.readouterr().out
 
 
 def test_a_bad_kb_path_is_a_usage_failure(tmp_path, capsys):

@@ -244,6 +244,7 @@ def test_unknown_class_is_rejected():
              '   mg:hasInput "A" ; mg:hasOutput mg:B .'),
             "must be an identifier",
         ),
+        (('mg:X a "Work" .',), "class of 'X' must be an identifier"),
         (
             (WORK_A, WORK_B, "mg:tune a mg:ModifyAction ;",
              "   mg:hasInput mg:A ; mg:hasOutput mg:B ;",

@@ -485,6 +485,22 @@ def test_work_members_combine_assignment_and_claimants():
     assert work_members(graph, kb, "B") == {"L1"}
 
 
+def test_a_declared_license_speaks_alone_over_its_rulings():
+    kb = kb_of(
+        profile("L1",
+                rules=[rule("L1-r", "L1", [ActionKind.MODIFY],
+                            relicense=RelicensePolicy.NONE_ALLOWED)]),
+        profile("L2"),
+    )
+    graph = graph_of(
+        [work("A", license="L1"), work("B", license="L2")],
+        [action("tune", ActionKind.MODIFY, ["A"], "B")],
+    )
+    _determined(graph, kb)
+    assert [r.rule for r in graph.rulings] == ["L1-r"]
+    assert work_members(graph, kb, "B") == {"L2"}
+
+
 def test_relicense_any_rules_never_claim_membership():
     kb = _modify_rule_kb(relicense=RelicensePolicy.ANY)
     graph = graph_of(
