@@ -251,11 +251,9 @@ def are_compatible(
     candidate_set = set(candidates)
     if not candidate_set:
         raise ValueError("are_compatible needs at least one candidate")
-    intersection: Optional[set[str]] = None
-    for candidate in sorted(candidate_set):
-        compat = kb.profile(candidate).compatible_with
-        intersection = set(compat) if intersection is None else intersection & compat
-    assert intersection is not None
+    intersection = set.intersection(
+        *(set(kb.profile(c).compatible_with) for c in sorted(candidate_set))
+    )
     if not intersection:
         return None
     if target in intersection:

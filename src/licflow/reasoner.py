@@ -26,6 +26,7 @@ from .kb import (
 from .model import (
     ActionKind,
     ActionNode,
+    ArityViolation,
     DependencyEdge,
     EdgeKind,
     InputRole,
@@ -116,7 +117,8 @@ _MANNER_USAGES = {
 def action_usages(action: ActionNode) -> tuple[Usage, ...]:
     """Usage rights one action requires from the works it consumes."""
     if action.kind is ActionKind.PUBLISH:
-        assert action.publish_manner is not None
+        if action.publish_manner is None:
+            raise ArityViolation(f"action {action.id!r}: publish requires a manner")
         return _MANNER_USAGES[action.publish_manner]
     return _KIND_USAGES[action.kind]
 
@@ -173,13 +175,6 @@ def _registered_outputs(graph: WorkflowGraph) -> dict[str, str]:
     }
 
 
-def _topo_work_order(graph: WorkflowGraph) -> list[str]:
-    produced = {action.output for action in graph.actions.values()}
-    ordered = sorted(wid for wid in graph.works if wid not in produced)
-    ordered.extend(action.output for action in toposort_actions(graph))
-    return ordered
-
-
 def _normalized_kind(action: ActionNode) -> ActionKind:
     # Combining a single work adds nothing of its own; treat it as a copy.
     if action.kind is ActionKind.COMBINE:
@@ -189,48 +184,41 @@ def _normalized_kind(action: ActionNode) -> ActionKind:
     return action.kind
 
 
-def _effective_kind(path: tuple[ActionKind, ...]) -> ActionKind:
-    """Collapse a producer chain to the action kind that shaped the output.
-
-    Copies and publications pass material through unchanged, so the last
-    transforming kind wins; a chain of pure pass-throughs keeps its first
-    kind.
-    """
-    for kind in reversed(path):
-        if kind not in _IDENTITY_KINDS:
-            return kind
-    return path[0]
-
-
-def _relied_paths(
-    graph: WorkflowGraph,
+def _relied_sources(
     action: ActionNode,
     mix_parents: dict[str, list[str]],
     user_licensed: set[str],
     producers: dict[str, ActionNode],
-) -> list[tuple[str, tuple[ActionKind, ...]]]:
-    """Every work this action relies on, with the producer chain back to it.
+) -> list[tuple[str, ActionKind]]:
+    """Every work this action relies on, with the kind that shaped it.
 
     Each direct input is relied upon. Works without a license of their
     own are transparent: whatever they mix in is relied upon as well,
-    following Mixwork edges only.
+    following Mixwork edges only. Copies and publications pass material
+    through unchanged, so the transforming step nearest the action sets
+    the kind; over pure pass-throughs the step nearest the relied work
+    does. Walking backwards, a state keeps its kind unless that kind is a
+    copy or publish, in which case the producer's kind replaces it. Each
+    (work, kind) state is visited once.
     """
-    results: list[tuple[str, tuple[ActionKind, ...]]] = []
     first = _normalized_kind(action)
-
-    def walk(work_id: str, path: tuple[ActionKind, ...]) -> None:
-        results.append((work_id, path))
-        if work_id in user_licensed:
-            return
+    stack = [(inp.work, first) for inp in action.inputs]
+    seen: set[tuple[str, ActionKind]] = set()
+    results: list[tuple[str, ActionKind]] = []
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        results.append(state)
+        work_id, kind = state
         producer = producers.get(work_id)
-        if producer is None:
-            return
-        step = _normalized_kind(producer)
+        if work_id in user_licensed or producer is None:
+            continue
+        if kind in _IDENTITY_KINDS:
+            kind = _normalized_kind(producer)
         for parent in mix_parents.get(work_id, ()):
-            walk(parent, (step,) + path)
-
-    for inp in action.inputs:
-        walk(inp.work, (first,))
+            stack.append((parent, kind))
     return results
 
 
@@ -306,7 +294,7 @@ def _license_snapshot(
     by_work = rulings_by_work(graph)
     assigned: dict[str, str] = {}
     conflicts: list[DeferredConflict] = []
-    for wid in _topo_work_order(graph):
+    for wid in sorted(graph.works):
         if wid in user_licensed:
             assigned[wid] = graph.works[wid].license  # type: ignore[assignment]
         elif wid in registered:
@@ -353,34 +341,43 @@ def work_members(graph: WorkflowGraph, kb: KnowledgeBase, work_id: str) -> set[s
 
 
 def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int:
-    """Accumulate rulings until neither rulings nor licenses move."""
+    """Accumulate rulings until neither rulings nor licenses move.
+
+    A relied-upon work is matched under the kind of the transforming step
+    nearest the action or, over copies and publications alone, the step
+    nearest the work (see `_relied_sources`). Rulings are never
+    retracted, and a work's members change only when the work itself
+    gains rulings, so after the first round only the works that gained
+    rulings in the round before are matched again.
+    """
     user_licensed = _user_licensed_ids(graph)
     producers = {a.output: a for a in graph.actions.values()}
     mix_parents = edge_parents(graph, (EdgeKind.MIXWORK,))
-    actions = toposort_actions(graph)
-    paths_by_action = {
-        action.id: _relied_paths(graph, action, mix_parents, user_licensed, producers)
-        for action in actions
-    }
+    relied_by: dict[str, list[tuple[ActionNode, ActionKind]]] = {}
+    for action in toposort_actions(graph):
+        for source, kind in _relied_sources(
+            action, mix_parents, user_licensed, producers
+        ):
+            relied_by.setdefault(source, []).append((action, kind))
     known = {(r.work, r.relied_work, r.rule) for r in graph.rulings}
-    bound = len(graph.works) ** 2 * max(1, len(kb.rules)) + 2
+    changed: Iterable[str] = relied_by
     iterations = 0
+    # Each round but the last adds a new (work, relied work, rule) key,
+    # and there are finitely many, so the loop ends.
     while True:
         iterations += 1
-        assert iterations <= bound, "ruling fixpoint exceeded its keyspace bound"
         assigned, _ = _license_snapshot(graph, kb)
         members = member_licenses(graph, kb, assigned)
         fresh: list[RulingRecord] = []
-        for action in actions:
-            out_form = graph.works[action.output].form
-            for source, path in paths_by_action[action.id]:
-                effective = _effective_kind(path)
-                in_form = graph.works[source].form
-                for license_id in sorted(members[source]):
-                    if license_id not in kb.licenses:
-                        continue
+        for source in sorted(changed):
+            in_form = graph.works[source].form
+            for license_id in sorted(members[source]):
+                if license_id not in kb.licenses:
+                    continue
+                for action, kind in relied_by.get(source, ()):
+                    out_form = graph.works[action.output].form
                     for rule in match_rules(
-                        kb, license_id, effective, in_form, out_form, fuzz
+                        kb, license_id, kind, in_form, out_form, fuzz
                     ):
                         key = (action.output, source, rule.id)
                         if key not in known:
@@ -396,6 +393,7 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
         if not fresh:
             return iterations
         graph.rulings.extend(fresh)
+        changed = {record.work for record in fresh}
 
 
 def derive_rulings(

@@ -125,6 +125,44 @@ def publish(
     )
 
 
+def code_work(work_id: str, license: Optional[str] = None) -> Work:
+    return work(work_id, WorkType.SOFTWARE, WorkForm.CODE, license=license)
+
+
+def copy_chain(steps: int, license: str) -> WorkflowGraph:
+    """A licensed code work `C0000` copied `steps` times in a row."""
+    ids = [f"C{i:04d}" for i in range(steps + 1)]
+    return graph_of(
+        [code_work(ids[0], license)] + [code_work(wid) for wid in ids[1:]],
+        [
+            action(f"copy{i:04d}", ActionKind.COPY, [ids[i - 1]], ids[i])
+            for i in range(1, steps + 1)
+        ],
+    )
+
+
+def diamond_ladder(rungs: int, license: str = "GPL-3.0") -> WorkflowGraph:
+    """Rungs that each modify the top twice and combine both, then a publish.
+
+    The producer paths from the publish back to the licensed root double
+    with every rung.
+    """
+    works, actions = [code_work("R00", license)], []
+    top = "R00"
+    for i in range(1, rungs + 1):
+        left, right, joined = f"L{i:02d}", f"M{i:02d}", f"R{i:02d}"
+        works += [code_work(left), code_work(right), code_work(joined)]
+        actions += [
+            action(f"left{i:02d}", ActionKind.MODIFY, [top], left),
+            action(f"right{i:02d}", ActionKind.MODIFY, [top], right),
+            action(f"join{i:02d}", ActionKind.COMBINE, [left, right], joined),
+        ]
+        top = joined
+    works.append(code_work("OUT"))
+    actions.append(publish("pub", top, "OUT", publish_form=WorkForm.CODE))
+    return graph_of(works, actions)
+
+
 # ---------------------------------------------------------------------------
 # Micro knowledge bases
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ from __future__ import annotations
 from collections import Counter
 
 from licflow import (
+    ActionKind,
     ExitClass,
     Severity,
+    WorkForm,
     analyze_publication,
     parse_workflow,
     published_targets,
@@ -15,7 +17,15 @@ from licflow import (
     sort_reports,
 )
 
-from _helpers import ruling_tuples
+from _helpers import (
+    action,
+    code_work,
+    diamond_ladder,
+    graph_of,
+    inputs_of,
+    publish,
+    ruling_tuples,
+)
 from graphgen import random_graph
 from oracleutil import naive_edge_set, naive_requests, naive_rulings
 
@@ -46,24 +56,49 @@ def test_fuzz_off_reports_are_a_subset_of_fuzz_on(seed_kb):
                 assert count <= wide[target][key], (seed, target, key)
 
 
+def _assert_matches_the_oracle(graph, kb, label):
+    for fuzz in (True, False):
+        reasoned, _ = run_all(graph, kb, fuzz)
+        got_edges = {
+            (e.kind.value, e.source, e.target) for e in reasoned.edges
+        }
+        assert got_edges == naive_edge_set(graph), (label, fuzz)
+        expected_rulings = naive_rulings(graph, kb, fuzz)
+        assert ruling_tuples(reasoned) == expected_rulings, (label, fuzz)
+        got_requests = {
+            (r.action, r.source_work, r.target_work, r.usage.value)
+            for r in reasoned.requests
+        }
+        assert got_requests == naive_requests(
+            graph, kb, expected_rulings
+        ), (label, fuzz)
+
+
 def test_the_engine_matches_the_naive_oracle(seed_kb):
     for seed in ORACLE_SEEDS:
-        graph = random_graph(seed, max_works=5)
-        for fuzz in (True, False):
-            reasoned, _ = run_all(graph, seed_kb, fuzz)
-            got_edges = {
-                (e.kind.value, e.source, e.target) for e in reasoned.edges
-            }
-            assert got_edges == naive_edge_set(graph), (seed, fuzz)
-            expected_rulings = naive_rulings(graph, seed_kb, fuzz)
-            assert ruling_tuples(reasoned) == expected_rulings, (seed, fuzz)
-            got_requests = {
-                (r.action, r.source_work, r.target_work, r.usage.value)
-                for r in reasoned.requests
-            }
-            assert got_requests == naive_requests(
-                graph, seed_kb, expected_rulings
-            ), (seed, fuzz)
+        _assert_matches_the_oracle(random_graph(seed, max_works=5), seed_kb, seed)
+
+
+def test_shared_ancestors_match_the_naive_oracle(seed_kb):
+    # The root is relied upon through a modify (M) and, from the same
+    # single-primary combine, through a plain copy (K): two kinds for one
+    # work.
+    diamond = graph_of(
+        [code_work("R", "GPL-3.0")] + [code_work(w) for w in ("M", "K", "C", "P")],
+        [
+            action("tune", ActionKind.MODIFY, ["R"], "M"),
+            action("dup", ActionKind.COPY, ["R"], "K"),
+            action(
+                "join",
+                ActionKind.COMBINE,
+                inputs_of(primaries=["M"], auxiliary=["K"]),
+                "C",
+            ),
+            publish("pub", "C", "P", publish_form=WorkForm.CODE),
+        ],
+    )
+    _assert_matches_the_oracle(diamond, seed_kb, "diamond")
+    _assert_matches_the_oracle(diamond_ladder(5), seed_kb, "ladder")
 
 
 def test_generated_graphs_round_trip_through_the_text_format():

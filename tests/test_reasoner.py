@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import copy
+import inspect
+import sys
+import time
+
+import pytest
 
 from licflow import (
     DEFAULT_LICENSE,
     ActionKind,
+    ArityViolation,
     EdgeKind,
     Origin,
     OutputDefinition,
@@ -25,9 +31,13 @@ from licflow import (
     run_all,
     work_members,
 )
+from licflow import reasoner
+from licflow.reasoner import action_usages
 
 from _helpers import (
     action,
+    copy_chain,
+    diamond_ladder,
     graph_of,
     inputs_of,
     kb_of,
@@ -463,11 +473,38 @@ def test_license_conflicts_recomputes_the_same_answer():
                             relicense=RelicensePolicy.NONE_ALLOWED)]),
     )
     graph = graph_of(
-        [work("A", license="L1"), work("B", license="L2"), work("C")],
-        [action("mix", ActionKind.COMBINE, ["A", "B"], "C")],
+        [work("A", license="L1"), work("B", license="L2"), work("Z"), work("C")],
+        [
+            action("mix", ActionKind.COMBINE, ["A", "B"], "Z"),
+            action("remix", ActionKind.COMBINE, ["Z", "A"], "C"),
+        ],
     )
     graph, conflicts = _determined(graph, kb)
+    # Work-id order, not the dependency order Z, C.
+    assert [c.work for c in conflicts] == ["C", "Z"]
     assert license_conflicts(graph, kb) == conflicts
+
+
+def test_license_determination_needs_no_action_order(monkeypatch):
+    kb = kb_of(
+        profile("L1",
+                rules=[rule("L1-r", "L1", [ActionKind.MODIFY],
+                            relicense=RelicensePolicy.NONE_ALLOWED)]),
+    )
+    graph = graph_of(
+        [work("A", license="L1"), work("B")],
+        [action("tune", ActionKind.MODIFY, ["A"], "B")],
+    )
+    derive_compositional(graph)
+    derive_rulings(graph, kb)
+
+    def unordered(graph):
+        raise AssertionError("license determination sorted the actions")
+
+    monkeypatch.setattr(reasoner, "toposort_actions", unordered)
+    assert license_conflicts(graph, kb) == []
+    determine_licenses(graph, kb)
+    assert graph.works["B"].license == "L1"
 
 
 def test_work_members_combine_assignment_and_claimants():
@@ -691,6 +728,41 @@ def test_run_all_resets_previously_derived_licenses(seed_kb):
     graph.works["B"].origin = Origin.DERIVED
     reasoned, _ = run_all(graph, seed_kb)
     assert reasoned.works["B"].license != "Llama2"
+
+
+def test_deep_copy_chains_reason_without_recursion():
+    kb = kb_of(
+        profile("L1",
+                rules=[rule("L1-copy", "L1", [ActionKind.COPY],
+                            relicense=RelicensePolicy.NONE_ALLOWED)]),
+    )
+    graph = copy_chain(250, license="L1")
+    limit = sys.getrecursionlimit()
+    # Far fewer spare frames than the chain has steps, so a walk that
+    # recursed once per step would overflow.
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        reasoned, _ = run_all(graph, kb)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert reasoned.works["C0250"].license == "L1"
+    assert "C0000" in {r.relied_work for r in reasoned.rulings if r.work == "C0250"}
+
+
+def test_diamond_ladders_reason_in_polynomial_time(seed_kb):
+    # 2**16 producer paths lead from the publish back to the root; listing
+    # them one by one takes tens of seconds.
+    start = time.perf_counter()
+    reasoned, _ = run_all(diamond_ladder(16), seed_kb)
+    assert time.perf_counter() - start < 5.0
+    assert reasoned.works["OUT"].license == "GPL-3.0"
+    assert "R00" in {r.relied_work for r in reasoned.rulings if r.work == "OUT"}
+
+
+def test_publish_without_a_manner_is_an_arity_violation():
+    bare = action("pub", ActionKind.PUBLISH, ["A"], "B")
+    with pytest.raises(ArityViolation, match="publish requires a manner"):
+        action_usages(bare)
 
 
 def test_records_are_hashable_values():
