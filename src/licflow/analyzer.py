@@ -35,11 +35,10 @@ from .model import (
 from .reasoner import (
     DeferredConflict,
     RulingRecord,
-    license_conflicts,
-    member_licenses,
+    members_of,
     relicense_constraints,
     rulings_by_work,
-    written_licenses,
+    settle_license,
 )
 from .reports import Report, ReportCode, Severity, make_report, sort_reports
 
@@ -116,6 +115,7 @@ class _Facts:
     manner: PublishManner
     full: set[str]
     contained: set[str]
+    actions: list[ActionNode]
     members: dict[str, set[str]]
     rulings: dict[str, list[RulingRecord]]
     conflicts: list[DeferredConflict]
@@ -124,28 +124,49 @@ class _Facts:
 def _facts(graph: WorkflowGraph, kb: KnowledgeBase, published: str) -> _Facts:
     if published not in graph.works:
         raise NotPublished(f"unknown work '{published}'")
-    manner = next(
-        (
-            action.publish_manner
-            for action in graph.actions.values()
-            if action.kind is ActionKind.PUBLISH and action.output == published
-        ),
-        None,
+    producers = {action.output: action for action in graph.actions.values()}
+    publisher = producers.get(published)
+    manner = (
+        publisher.publish_manner
+        if publisher is not None and publisher.kind is ActionKind.PUBLISH
+        else None
     )
     if manner is None:
         raise NotPublished(
             f"work '{published}' is not the output of a publish action"
         )
+    full = dependency_closure(graph, published, _FULL_KINDS)
+    actions = [producers[wid] for wid in full if wid in producers]
+    rulings = rulings_by_work(graph)
+    # Requests of actions in the closure only target works in it, but E6
+    # reads each relicensed work from behind its provenance edge.
+    read = full | {
+        action.inputs[0].work
+        for action in actions
+        if action.kind is ActionKind.REGISTER_LICENSE
+    }
+    members = {
+        wid: members_of(
+            graph.works[wid], graph.works[wid].license, rulings.get(wid, []), kb
+        )
+        for wid in read
+    }
+    settled = (
+        settle_license(graph.works[wid], producers.get(wid), rulings.get(wid, []), kb)
+        for wid in sorted(full)
+    )
+    conflicts = [conflict for _, conflict in settled if conflict is not None]
     return _Facts(
         graph=graph,
         kb=kb,
         target=published,
         manner=manner,
-        full=dependency_closure(graph, published, _FULL_KINDS),
+        full=full,
         contained=dependency_closure(graph, published, _MS_KINDS),
-        members=member_licenses(graph, kb, written_licenses(graph)),
-        rulings=rulings_by_work(graph),
-        conflicts=license_conflicts(graph, kb),
+        actions=actions,
+        members=members,
+        rulings=rulings,
+        conflicts=conflicts,
     )
 
 
@@ -291,9 +312,7 @@ def check_conflicts(facts: _Facts) -> list[Report]:
 
     # Deriving actions inside the closure, by each distinct work they consume.
     consumers: dict[str, list[ActionNode]] = {}
-    for action in graph.actions.values():
-        if action.output not in full:
-            continue
+    for action in facts.actions:
         if (
             action.kind is ActionKind.REGISTER_LICENSE
             and action.license_to_register is not None
@@ -314,8 +333,7 @@ def check_conflicts(facts: _Facts) -> list[Report]:
                 reports.append(_report(facts, ReportCode.E8, record.relied_work))
 
     for conflict in facts.conflicts:
-        if conflict.work in full:
-            reports.append(_report(facts, ReportCode.E10, conflict.work))
+        reports.append(_report(facts, ReportCode.E10, conflict.work))
     for record, rule in _scoped_rulings(facts, full):
         if Restriction.LLAMA_EXCLUSIVE in rule.use_restrictions:
             for action in consumers.get(record.work, ()):
@@ -355,6 +373,6 @@ def analyze_publication(
     return AnalysisResult(
         target=published,
         reports=reports,
-        deferred_conflicts=[c for c in facts.conflicts if c.work in facts.full],
+        deferred_conflicts=facts.conflicts,
         exit_class=exit_class_of(reports),
     )

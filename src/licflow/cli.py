@@ -191,14 +191,13 @@ def cmd_analyze(path: str, config: CliConfig) -> int:
     return _EXIT_CODES[worst]
 
 
-def cmd_validate(path: str, config: Optional[CliConfig] = None) -> int:
-    output = config.output if config is not None else "human"
+def cmd_validate(path: str, config: CliConfig) -> int:
     try:
         graph = parse_workflow(_read_file(path))
     except (InterchangeError, GraphError, OSError) as err:
         return _fail(str(err))
     reports = validate_graph(graph)
-    if output == "structured":
+    if config.output == "structured":
         for report in reports:
             print(_structured_line(report))
     else:

@@ -32,6 +32,7 @@ from .model import (
     InputRole,
     Origin,
     PublishManner,
+    Work,
     WorkflowGraph,
     closure,
     edge_parents,
@@ -158,21 +159,9 @@ def derive_compositional(graph: WorkflowGraph) -> WorkflowGraph:
     return graph
 
 
-def _user_licensed_ids(graph: WorkflowGraph) -> set[str]:
-    return {
-        wid
-        for wid, work in graph.works.items()
-        if work.license is not None and work.origin is Origin.USER_DECLARED
-    }
-
-
-def _registered_outputs(graph: WorkflowGraph) -> dict[str, str]:
-    return {
-        action.output: action.license_to_register
-        for action in graph.actions.values()
-        if action.kind is ActionKind.REGISTER_LICENSE
-        and action.license_to_register is not None
-    }
+def _declared_license(work: Work) -> Optional[str]:
+    """The license a user gave the work, None if it is unset or derived."""
+    return work.license if work.origin is Origin.USER_DECLARED else None
 
 
 def _normalized_kind(action: ActionNode) -> ActionKind:
@@ -187,7 +176,7 @@ def _normalized_kind(action: ActionNode) -> ActionKind:
 def _relied_sources(
     action: ActionNode,
     mix_parents: dict[str, list[str]],
-    user_licensed: set[str],
+    works: Mapping[str, Work],
     producers: dict[str, ActionNode],
 ) -> list[tuple[str, ActionKind]]:
     """Every work this action relies on, with the kind that shaped it.
@@ -213,7 +202,7 @@ def _relied_sources(
         results.append(state)
         work_id, kind = state
         producer = producers.get(work_id)
-        if work_id in user_licensed or producer is None:
+        if _declared_license(works[work_id]) is not None or producer is None:
             continue
         if kind in _IDENTITY_KINDS:
             kind = _normalized_kind(producer)
@@ -243,12 +232,26 @@ def relicense_constraints(
     return none_allowed, compat_only
 
 
-def _resolve_license(
-    work_id: str,
-    rulings: list[RulingRecord],
+def settle_license(
+    work: Work,
+    producer: Optional[ActionNode],
+    rulings: Iterable[RulingRecord],
     kb: KnowledgeBase,
 ) -> tuple[str, Optional[DeferredConflict]]:
-    """Pick the license a work's rulings force on it, or record a conflict."""
+    """The license a work ends up under, and its conflict if it has one.
+
+    A declared license stands, then a registered one. Otherwise the
+    work's own rulings force a license on it, or record a conflict.
+    """
+    declared = _declared_license(work)
+    if declared is not None:
+        return declared, None
+    if (
+        producer is not None
+        and producer.kind is ActionKind.REGISTER_LICENSE
+        and producer.license_to_register is not None
+    ):
+        return producer.license_to_register, None
     none_allowed, compat_only = relicense_constraints(rulings, kb)
 
     def conflicted() -> tuple[str, DeferredConflict]:
@@ -259,7 +262,7 @@ def _resolve_license(
             if lic in kb.licenses and kb.licenses[lic].copyleft
         ]
         chosen = copyleft[0] if copyleft else implicated[0]
-        return chosen, DeferredConflict(work_id, implicated)
+        return chosen, DeferredConflict(work.id, implicated)
 
     if not none_allowed and not compat_only:
         return DEFAULT_LICENSE, None
@@ -278,6 +281,27 @@ def _resolve_license(
     return result, None
 
 
+def members_of(
+    work: Work,
+    license_id: Optional[str],
+    rulings: Iterable[RulingRecord],
+    kb: KnowledgeBase,
+) -> set[str]:
+    """Licenses that can speak for a work under `license_id`, given its own rulings.
+
+    A declared license speaks alone. A derived work answers to its
+    license plus every license whose non-waiving rules fired on it,
+    because any of those could still claim the work.
+    """
+    members = set() if license_id is None else {license_id}
+    if _declared_license(work) is None:
+        for record in rulings:
+            rule = kb.rules.get(record.rule)
+            if rule is not None and rule.relicense is not RelicensePolicy.ANY:
+                members.add(rule.license)
+    return members
+
+
 def rulings_by_work(graph: WorkflowGraph) -> dict[str, list[RulingRecord]]:
     by_work: dict[str, list[RulingRecord]] = {}
     for record in graph.rulings:
@@ -285,59 +309,10 @@ def rulings_by_work(graph: WorkflowGraph) -> dict[str, list[RulingRecord]]:
     return by_work
 
 
-def _license_snapshot(
-    graph: WorkflowGraph, kb: KnowledgeBase
-) -> tuple[dict[str, str], list[DeferredConflict]]:
-    """Current license of every work, recomputed from the rulings."""
-    user_licensed = _user_licensed_ids(graph)
-    registered = _registered_outputs(graph)
-    by_work = rulings_by_work(graph)
-    assigned: dict[str, str] = {}
-    conflicts: list[DeferredConflict] = []
-    for wid in sorted(graph.works):
-        if wid in user_licensed:
-            assigned[wid] = graph.works[wid].license  # type: ignore[assignment]
-        elif wid in registered:
-            assigned[wid] = registered[wid]
-        else:
-            license_id, conflict = _resolve_license(wid, by_work.get(wid, []), kb)
-            assigned[wid] = license_id
-            if conflict is not None:
-                conflicts.append(conflict)
-    return assigned, conflicts
-
-
-def member_licenses(
-    graph: WorkflowGraph, kb: KnowledgeBase, licenses: Mapping[str, Optional[str]]
-) -> dict[str, set[str]]:
-    """Licenses that can speak for each work, given the license of every work.
-
-    A declared license speaks alone. A derived work answers to its
-    license plus every license whose non-waiving rules fired on it,
-    because any of those could still claim the work.
-    """
-    declared = _user_licensed_ids(graph)
-    members = {
-        wid: set() if license_id is None else {license_id}
-        for wid, license_id in licenses.items()
-    }
-    for record in graph.rulings:
-        if record.work in declared:
-            continue
-        rule = kb.rules.get(record.rule)
-        if rule is not None and rule.relicense is not RelicensePolicy.ANY:
-            members[record.work].add(rule.license)
-    return members
-
-
-def written_licenses(graph: WorkflowGraph) -> dict[str, Optional[str]]:
-    """The license each work carries on the graph, None where unset."""
-    return {wid: work.license for wid, work in graph.works.items()}
-
-
 def work_members(graph: WorkflowGraph, kb: KnowledgeBase, work_id: str) -> set[str]:
     """Licenses that can speak for one work of a fully reasoned graph."""
-    return member_licenses(graph, kb, written_licenses(graph))[work_id]
+    work = graph.works[work_id]
+    return members_of(work, work.license, rulings_by_work(graph).get(work_id, []), kb)
 
 
 def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int:
@@ -346,38 +321,40 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
     A relied-upon work is matched under the kind of the transforming step
     nearest the action or, over copies and publications alone, the step
     nearest the work (see `_relied_sources`). Rulings are never
-    retracted, and a work's members change only when the work itself
-    gains rulings, so after the first round only the works that gained
-    rulings in the round before are matched again.
+    retracted, and a work's license and members depend only on its own
+    rulings, so each round settles only the works that gained rulings in
+    the round before. Matching depends only on the license, the kind and
+    the forms, so each relied work is matched once per license it answers to.
     """
-    user_licensed = _user_licensed_ids(graph)
     producers = {a.output: a for a in graph.actions.values()}
     mix_parents = edge_parents(graph, (EdgeKind.MIXWORK,))
     relied_by: dict[str, list[tuple[ActionNode, ActionKind]]] = {}
     for action in toposort_actions(graph):
         for source, kind in _relied_sources(
-            action, mix_parents, user_licensed, producers
+            action, mix_parents, graph.works, producers
         ):
             relied_by.setdefault(source, []).append((action, kind))
+    by_work = rulings_by_work(graph)
     known = {(r.work, r.relied_work, r.rule) for r in graph.rulings}
+    matched: dict[str, set[str]] = {source: set() for source in relied_by}
     changed: Iterable[str] = relied_by
     iterations = 0
     # Each round but the last adds a new (work, relied work, rule) key,
     # and there are finitely many, so the loop ends.
     while True:
         iterations += 1
-        assigned, _ = _license_snapshot(graph, kb)
-        members = member_licenses(graph, kb, assigned)
         fresh: list[RulingRecord] = []
         for source in sorted(changed):
-            in_form = graph.works[source].form
-            for license_id in sorted(members[source]):
-                if license_id not in kb.licenses:
-                    continue
-                for action, kind in relied_by.get(source, ()):
+            work, rulings = graph.works[source], by_work.get(source, [])
+            settled, _ = settle_license(work, producers.get(source), rulings, kb)
+            members = members_of(work, settled, rulings, kb)
+            unmatched = members.intersection(kb.licenses) - matched[source]
+            matched[source] |= unmatched
+            for license_id in sorted(unmatched):
+                for action, kind in relied_by[source]:
                     out_form = graph.works[action.output].form
                     for rule in match_rules(
-                        kb, license_id, kind, in_form, out_form, fuzz
+                        kb, license_id, kind, work.form, out_form, fuzz
                     ):
                         key = (action.output, source, rule.id)
                         if key not in known:
@@ -393,7 +370,9 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
         if not fresh:
             return iterations
         graph.rulings.extend(fresh)
-        changed = {record.work for record in fresh}
+        for record in fresh:
+            by_work.setdefault(record.work, []).append(record)
+        changed = {record.work for record in fresh}.intersection(relied_by)
 
 
 def derive_rulings(
@@ -407,27 +386,30 @@ def derive_rulings(
 def determine_licenses(
     graph: WorkflowGraph, kb: KnowledgeBase
 ) -> tuple[WorkflowGraph, list[DeferredConflict]]:
-    """Write the license every work ends up under, keeping declared ones."""
-    assigned, conflicts = _license_snapshot(graph, kb)
-    for wid, work in graph.works.items():
+    """Write each work's license, keeping declared ones; conflicts in work-id order."""
+    producers = {a.output: a for a in graph.actions.values()}
+    by_work = rulings_by_work(graph)
+    conflicts: list[DeferredConflict] = []
+    for wid, work in sorted(graph.works.items()):
+        license_id, conflict = settle_license(
+            work, producers.get(wid), by_work.get(wid, []), kb
+        )
+        if conflict is not None:
+            conflicts.append(conflict)
         if work.license is None:
-            work.license = assigned[wid]
+            work.license = license_id
             work.origin = Origin.DERIVED
     return graph, conflicts
-
-
-def license_conflicts(
-    graph: WorkflowGraph, kb: KnowledgeBase
-) -> list[DeferredConflict]:
-    """Conflicts recorded during license determination, recomputed."""
-    _, conflicts = _license_snapshot(graph, kb)
-    return conflicts
 
 
 def derive_requests(graph: WorkflowGraph, kb: KnowledgeBase) -> WorkflowGraph:
     """Derive the usage rights each action needs, licenses already settled."""
     mix_parents = edge_parents(graph, (EdgeKind.MIXWORK,))
-    members = member_licenses(graph, kb, written_licenses(graph))
+    by_work = rulings_by_work(graph)
+    members = {
+        wid: members_of(work, work.license, by_work.get(wid, []), kb)
+        for wid, work in graph.works.items()
+    }
     known = {
         (r.action, r.source_work, r.target_work, r.usage) for r in graph.requests
     }

@@ -8,6 +8,10 @@ import pytest
 
 from licflow import KnowledgeBase, bundled_rules_dir, load_kb
 
+# The shared helpers assert engine results against the naive oracles, so
+# their asserts must be rewritten too, or `python -O` strips them.
+pytest.register_assert_rewrite("_helpers", "oracleutil")
+
 
 @pytest.fixture(scope="session")
 def seed_kb() -> KnowledgeBase:

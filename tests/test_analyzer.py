@@ -23,6 +23,7 @@ from licflow import (
     published_targets,
     run_all,
 )
+from licflow import analyzer
 
 from _helpers import (
     action,
@@ -673,6 +674,37 @@ def test_unrelated_pipelines_stay_out_of_the_report(seed_kb):
     assert clean.reports == []
     assert clean.exit_class is ExitClass.CLEAN
     assert dirty.exit_class is ExitClass.ERRORS
+
+
+def test_analysis_settles_only_the_target_closure(seed_kb, monkeypatch):
+    graph = graph_of(
+        [work("A", license="MG-BY-ND"), work("B"), work("C"), work("PA"),
+         work("X", license="Llama2"), work("Y"), work("PX")],
+        [
+            action("tune", ActionKind.MODIFY, ["A"], "B"),
+            action("reg", ActionKind.REGISTER_LICENSE, ["B"], "C",
+                   license_to_register="MG0"),
+            publish("pa", "C", "PA"),
+            action("retune", ActionKind.MODIFY, ["X"], "Y"),
+            publish("px", "Y", "PX", PublishManner.SELL),
+        ],
+    )
+    reasoned, _ = run_all(graph, seed_kb)
+    settled, read = [], []
+    for name, seen in (("settle_license", settled), ("members_of", read)):
+        def recording(work, *rest, original=getattr(analyzer, name), seen=seen):
+            seen.append(work.id)
+            return original(work, *rest)
+
+        monkeypatch.setattr(analyzer, name, recording)
+    result = analyze_publication(reasoned, seed_kb, "PA")
+    full = dependency_closure(
+        reasoned, "PA", (EdgeKind.MIXWORK, EdgeKind.SUBWORK, EdgeKind.AUXWORK)
+    )
+    assert set(settled) == full
+    # E6 reads the registered work's input from behind its provenance edge.
+    assert set(read) == full | {"B"}
+    assert code_subject_multiset(result.reports)[("E6", "C")] == 1
 
 
 def test_every_report_targets_the_published_work(seed_kb):

@@ -27,7 +27,6 @@ from licflow import (
     derive_requests,
     derive_rulings,
     determine_licenses,
-    license_conflicts,
     run_all,
     work_members,
 )
@@ -463,7 +462,7 @@ def test_registered_license_wins_over_the_default(seed_kb):
     assert conflicts == []
 
 
-def test_license_conflicts_recomputes_the_same_answer():
+def test_conflicts_come_back_in_work_id_order():
     kb = kb_of(
         profile("L1",
                 rules=[rule("L1-r", "L1", [ActionKind.COMBINE],
@@ -479,10 +478,9 @@ def test_license_conflicts_recomputes_the_same_answer():
             action("remix", ActionKind.COMBINE, ["Z", "A"], "C"),
         ],
     )
-    graph, conflicts = _determined(graph, kb)
+    _, conflicts = _determined(graph, kb)
     # Work-id order, not the dependency order Z, C.
     assert [c.work for c in conflicts] == ["C", "Z"]
-    assert license_conflicts(graph, kb) == conflicts
 
 
 def test_license_determination_needs_no_action_order(monkeypatch):
@@ -502,8 +500,8 @@ def test_license_determination_needs_no_action_order(monkeypatch):
         raise AssertionError("license determination sorted the actions")
 
     monkeypatch.setattr(reasoner, "toposort_actions", unordered)
-    assert license_conflicts(graph, kb) == []
-    determine_licenses(graph, kb)
+    _, conflicts = determine_licenses(graph, kb)
+    assert conflicts == []
     assert graph.works["B"].license == "L1"
 
 
@@ -730,12 +728,16 @@ def test_run_all_resets_previously_derived_licenses(seed_kb):
     assert reasoned.works["B"].license != "Llama2"
 
 
-def test_deep_copy_chains_reason_without_recursion():
-    kb = kb_of(
+def _copy_rule_kb():
+    return kb_of(
         profile("L1",
                 rules=[rule("L1-copy", "L1", [ActionKind.COPY],
                             relicense=RelicensePolicy.NONE_ALLOWED)]),
     )
+
+
+def test_deep_copy_chains_reason_without_recursion():
+    kb = _copy_rule_kb()
     graph = copy_chain(250, license="L1")
     limit = sys.getrecursionlimit()
     # Far fewer spare frames than the chain has steps, so a walk that
@@ -747,6 +749,23 @@ def test_deep_copy_chains_reason_without_recursion():
         sys.setrecursionlimit(limit)
     assert reasoned.works["C0250"].license == "L1"
     assert "C0000" in {r.relied_work for r in reasoned.rulings if r.work == "C0250"}
+
+
+def test_the_fixpoint_matches_each_relied_license_once(monkeypatch):
+    original = reasoner.match_rules
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(reasoner, "match_rules", counted)
+    reasoned, stats = run_all(copy_chain(60, license="L1"), _copy_rule_kb())
+    # C(j) is relied on by the 60 - j copies after it, under L1 once:
+    # C0000 in round 1, every other C(j) in round 2 once its ruling lands.
+    assert len(calls) == 60 * 61 // 2
+    assert len(reasoned.rulings) == 60 * 61 // 2
+    assert stats.iterations == 3
 
 
 def test_diamond_ladders_reason_in_polynomial_time(seed_kb):
