@@ -48,6 +48,8 @@ class NotPublished(ValueError):
 
 
 class ExitClass(Enum):
+    """Worst severity of a result; each value is the matching CLI exit code."""
+
     CLEAN = 0
     WARNINGS = 1
     ERRORS = 2

@@ -64,8 +64,11 @@ def _load_kb(config: CliConfig) -> KnowledgeBase:
 
 
 def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as err:
+        raise InterchangeError(f"cannot read {path}: {err}") from err
 
 
 def _fail(message: str) -> int:
@@ -100,13 +103,6 @@ def _print_reports_human(reports: list[Report], heading: Optional[str]) -> None:
     warnings = sum(1 for r in reports if r.severity.value == "warning")
     notices = sum(1 for r in reports if r.severity.value == "notice")
     print(f"  total: {errors} errors, {warnings} warnings, {notices} notices")
-
-
-_EXIT_CODES = {
-    ExitClass.CLEAN: EXIT_OK,
-    ExitClass.WARNINGS: EXIT_WARNINGS,
-    ExitClass.ERRORS: EXIT_ERRORS,
-}
 
 
 def _unknown_licenses(graph: WorkflowGraph, kb: KnowledgeBase) -> list[str]:
@@ -174,7 +170,7 @@ def cmd_analyze(path: str, config: CliConfig) -> int:
             exit_class=exit_class_of(all_reports),
         )
         print(export_dot(reasoned, merged), end="")
-        return _EXIT_CODES[merged.exit_class]
+        return merged.exit_class.value
 
     if config.output == "human":
         print(DISCLAIMER)
@@ -188,7 +184,7 @@ def cmd_analyze(path: str, config: CliConfig) -> int:
                 print(_structured_line(report))
         else:
             _print_reports_human(result.reports, f"published work {result.target}")
-    return _EXIT_CODES[worst]
+    return worst.value
 
 
 def cmd_validate(path: str, config: CliConfig) -> int:

@@ -86,6 +86,16 @@ _EDGE_PREDICATES = {
 }
 _PREDICATE_OF_EDGE = {kind: name for name, kind in _EDGE_PREDICATES.items()}
 
+# In the order serialization writes them.
+_INPUT_PREDICATES = {
+    "hasInput": InputRole.PRIMARY,
+    "hasTrainingData": InputRole.TRAINING_DATA,
+    "hasAuxInput": InputRole.AUXILIARY,
+}
+_SINGLE_ACTION_PREDICATES = frozenset(
+    {"hasOutput", "publishManner", "publishForm", "registersLicense"}
+)
+
 _CLASSES = frozenset({"Work", "Ruling", "Request"} | set(_ACTION_CLASSES))
 _PREDICATES = frozenset(
     {
@@ -94,13 +104,6 @@ _PREDICATES = frozenset(
         "workForm",
         "hasLicense",
         "origin",
-        "hasInput",
-        "hasAuxInput",
-        "hasTrainingData",
-        "hasOutput",
-        "publishManner",
-        "publishForm",
-        "registersLicense",
         "copublish",
         "hasRuling",
         "hasReliedwork",
@@ -112,14 +115,13 @@ _PREDICATES = frozenset(
         "usage",
     }
     | set(_EDGE_PREDICATES)
+    | set(_INPUT_PREDICATES)
+    | _SINGLE_ACTION_PREDICATES
 )
-
-VOCABULARY = frozenset(_CLASSES | _PREDICATES)
 
 # Statements the reasoner writes; parsing ignores them so that reasoned
 # documents round-trip to their base workflow.
 _REASONER_PREDICATES = frozenset(_EDGE_PREDICATES) | {"hasRuling", "hasRequest"}
-_REASONER_CLASSES = frozenset({"Ruling", "Request"})
 
 
 @dataclass(frozen=True)
@@ -146,12 +148,15 @@ class _Token:
     column: int
 
 
+# A local name; documents are read and written with the same pattern.
+_NAME_RE = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_:-]|\.(?=[A-Za-z0-9_:-]))*")
+
 _TOKEN_RES = [
     ("IRIREF", re.compile(r"<([^<>\s]*)>")),
     ("STRING", re.compile(r'"((?:[^"\\\n]|\\.)*)"')),
     ("PREFIX_KW", re.compile(r"@prefix\b")),
     ("INTEGER", re.compile(r"[+-]?[0-9]+(?![A-Za-z0-9_:.+-])")),
-    ("NAME", re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_:-]|\.(?=[A-Za-z0-9_:-]))*")),
+    ("NAME", _NAME_RE),
     ("PUNCT", re.compile(r"[.;,]")),
 ]
 
@@ -447,26 +452,21 @@ def parse_workflow(text: str) -> WorkflowGraph:
         publish_form: Optional[WorkForm] = None
         register: Optional[str] = None
         copublish: set[str] = set()
+        seen: set[str] = set()
         for predicate, obj in by_subject[subject]:
             if predicate == "a" or predicate in _REASONER_PREDICATES:
                 continue
-            if predicate == "hasInput":
-                inputs.append(ActionInput(_as_ident(obj, subject, "input")))
-            elif predicate == "hasAuxInput":
+            if predicate in _SINGLE_ACTION_PREDICATES:
+                if predicate in seen:
+                    raise SemanticError(f"duplicate 'mg:{predicate}' on '{subject}'")
+                seen.add(predicate)
+            if predicate in _INPUT_PREDICATES:
                 inputs.append(
                     ActionInput(
-                        _as_ident(obj, subject, "input"), InputRole.AUXILIARY
-                    )
-                )
-            elif predicate == "hasTrainingData":
-                inputs.append(
-                    ActionInput(
-                        _as_ident(obj, subject, "input"), InputRole.TRAINING_DATA
+                        _as_ident(obj, subject, "input"), _INPUT_PREDICATES[predicate]
                     )
                 )
             elif predicate == "hasOutput":
-                if output is not None:
-                    raise SemanticError(f"duplicate 'mg:hasOutput' on '{subject}'")
                 output = _as_ident(obj, subject, "output")
             elif predicate == "publishManner":
                 manner = _enum_value(PublishManner, obj, subject, "publish manner")
@@ -501,7 +501,7 @@ def parse_workflow(text: str) -> WorkflowGraph:
 
 
 def _ident_text(local: str) -> str:
-    if not re.fullmatch(r"[A-Za-z0-9_](?:[A-Za-z0-9_:-]|\.(?=[A-Za-z0-9_:-]))*", local):
+    if not _NAME_RE.fullmatch(local):
         raise InterchangeError(f"identifier {local!r} cannot be serialized")
     return f"{PREFIX}:{local}"
 
@@ -548,23 +548,10 @@ def serialize_graph(graph: WorkflowGraph) -> str:
     for aid in sorted(graph.actions):
         action = graph.actions[aid]
         rows = [("a", [Ident(_CLASS_OF_KIND[action.kind])])]
-        primaries = [
-            Ident(inp.work) for inp in action.inputs if inp.role is InputRole.PRIMARY
-        ]
-        training = [
-            Ident(inp.work)
-            for inp in action.inputs
-            if inp.role is InputRole.TRAINING_DATA
-        ]
-        auxiliary = [
-            Ident(inp.work) for inp in action.inputs if inp.role is InputRole.AUXILIARY
-        ]
-        if primaries:
-            rows.append(("hasInput", primaries))
-        if training:
-            rows.append(("hasTrainingData", training))
-        if auxiliary:
-            rows.append(("hasAuxInput", auxiliary))
+        for predicate, role in _INPUT_PREDICATES.items():
+            inputs = [Ident(inp.work) for inp in action.inputs if inp.role is role]
+            if inputs:
+                rows.append((predicate, inputs))
         rows.append(("hasOutput", [Ident(action.output)]))
         if action.publish_manner is not None:
             rows.append(("publishManner", [action.publish_manner.value]))
@@ -622,12 +609,9 @@ def serialize_graph(graph: WorkflowGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _dot_label(parts: list[str]) -> str:
-    escaped = [p.replace("\\", "\\\\").replace('"', '\\"') for p in parts]
+def _dot_quote(*lines: str) -> str:
+    """One quoted DOT string; lines are joined with DOT's ``\\n`` escape."""
+    escaped = [line.replace("\\", "\\\\").replace('"', '\\"') for line in lines]
     return '"' + "\\n".join(escaped) + '"'
 
 
@@ -655,7 +639,7 @@ def export_dot(graph: WorkflowGraph, result=None) -> str:
         if work.license is not None:
             parts.append(work.license)
         parts.extend(codes_by_subject.get(wid, []))
-        lines.append(f"  {_dot_quote(wid)} [label={_dot_label(parts)}];")
+        lines.append(f"  {_dot_quote(wid)} [label={_dot_quote(*parts)}];")
     for aid in sorted(graph.actions):
         action = graph.actions[aid]
         for inp in action.inputs:

@@ -2,18 +2,16 @@
 
 A knowledge base is loaded from one or more ``.mgl`` files. Each file
 declares a single license profile followed by the rules encoded from the
-license text. Token spellings are pinned by ``rules/schema.json`` which
-ships with the package.
+license text. Each token is the value of the enum it becomes.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, TypeVar, Union
 
 from .model import ActionKind, WorkForm, WorkType
 
@@ -23,7 +21,7 @@ class KBError(ValueError):
 
 
 class ParseError(KBError):
-    """A rules file is malformed or uses tokens outside the schema."""
+    """A rules file is malformed or uses an unknown token."""
 
 
 class DanglingReference(KBError):
@@ -70,11 +68,6 @@ class RelicensePolicy(Enum):
     ANY = "any"
 
 
-class RestrictionScope(Enum):
-    ON_PUBLISH = "publish"
-    ON_USE = "use"
-
-
 class Restriction(Enum):
     INCLUDE_LICENSE = "include_license"
     INCLUDE_NOTICE = "include_notice"
@@ -90,21 +83,13 @@ class Restriction(Enum):
     EXCLUSIVE_TERMS = "exclusive_terms"
     NON_COMMERCIAL_OUTPUT = "non_commercial_output"
 
-    @property
-    def scope(self) -> RestrictionScope:
-        return _RESTRICTION_SCOPE[self]
 
-
+# Restrictions on using a work; every other restriction applies on publishing.
 _USE_SCOPED = {
     Restriction.USE_BEHAVIOR,
     Restriction.RUNTIME_CONTROL,
     Restriction.NON_COMMERCIAL_OUTPUT,
     Restriction.LLAMA_EXCLUSIVE,
-}
-
-_RESTRICTION_SCOPE = {
-    r: (RestrictionScope.ON_USE if r in _USE_SCOPED else RestrictionScope.ON_PUBLISH)
-    for r in Restriction
 }
 
 
@@ -185,12 +170,6 @@ class KnowledgeBase:
 def bundled_rules_dir() -> Path:
     """Directory holding the rules shipped with the package."""
     return Path(str(resources.files(__package__).joinpath("rules")))
-
-
-def load_schema() -> dict:
-    """Token registry for rules files: the valid spellings of every field."""
-    schema_path = bundled_rules_dir() / "schema.json"
-    return json.loads(schema_path.read_text(encoding="utf-8"))
 
 
 def usage_requirement(kb: KnowledgeBase, license_id: str, usage: Usage) -> Requirement:
@@ -304,11 +283,19 @@ def _split_tokens(raw: str) -> list[str]:
     return [token.strip() for token in raw.split(",") if token.strip()]
 
 
-def _check_tokens(tokens: Iterable[str], allowed: Iterable[str], where: str) -> None:
-    allowed_set = set(allowed)
-    for token in tokens:
-        if token not in allowed_set:
-            raise ParseError(f"{where}: unknown token {token!r}")
+_E = TypeVar("_E", bound=Enum)
+
+
+def _member(kind: type[_E], token: str, where: str) -> _E:
+    try:
+        return kind(token)
+    except ValueError:
+        raise ParseError(f"{where}: unknown token {token!r}") from None
+
+
+def _members(kind: type[_E], raw: str, where: str) -> list[_E]:
+    """Each comma-separated token of ``raw`` as its member of ``kind``."""
+    return [_member(kind, token, where) for token in _split_tokens(raw)]
 
 
 class _SectionReader:
@@ -341,7 +328,7 @@ class _SectionReader:
             current[key] = value
 
 
-def _build_profile(path: Path, entries: dict[str, str], schema: dict) -> LicenseProfile:
+def _build_profile(path: Path, entries: dict[str, str]) -> LicenseProfile:
     where = f"{path} [profile]"
     for key in entries:
         if key not in _PROFILE_KEYS and not key.startswith("meta."):
@@ -349,18 +336,18 @@ def _build_profile(path: Path, entries: dict[str, str], schema: dict) -> License
     for required in ("id", "name", "framework", "intended_types"):
         if required not in entries:
             raise ParseError(f"{where}: missing key {required!r}")
-    framework = entries["framework"]
-    _check_tokens([framework], schema["frameworks"], f"{where} framework")
-    type_tokens = _split_tokens(entries["intended_types"])
-    _check_tokens(type_tokens, schema["types"], f"{where} intended_types")
-    revocable = entries.get("revocable", "unstated")
-    _check_tokens([revocable], schema["revocable"], f"{where} revocable")
+    framework = _member(LicenseFramework, entries["framework"], f"{where} framework")
+    intended_types = _members(
+        WorkType, entries["intended_types"], f"{where} intended_types"
+    )
+    revocable = _member(
+        Revocability, entries.get("revocable", "unstated"), f"{where} revocable"
+    )
 
-    usage_sets = {}
-    for key in ("granted", "reserved"):
-        tokens = _split_tokens(entries.get(key, ""))
-        _check_tokens(tokens, schema["usages"], f"{where} {key}")
-        usage_sets[key] = {Usage(t) for t in tokens}
+    usage_sets = {
+        key: set(_members(Usage, entries.get(key, ""), f"{where} {key}"))
+        for key in ("granted", "reserved")
+    }
     overlap = usage_sets["granted"] & usage_sets["reserved"]
     if overlap:
         names = ", ".join(sorted(u.value for u in overlap))
@@ -386,11 +373,11 @@ def _build_profile(path: Path, entries: dict[str, str], schema: dict) -> License
     return LicenseProfile(
         id=license_id,
         name=entries["name"],
-        framework=LicenseFramework(framework),
-        intended_types={WorkType(t) for t in type_tokens},
+        framework=framework,
+        intended_types=set(intended_types),
         copyleft=copyleft,
         permissive=permissive,
-        revocable=Revocability(revocable),
+        revocable=revocable,
         granted=usage_sets["granted"],
         reserved=usage_sets["reserved"],
         sublicense_waived_by_auto_relicense=_parse_bool(
@@ -402,9 +389,7 @@ def _build_profile(path: Path, entries: dict[str, str], schema: dict) -> License
     )
 
 
-def _build_rule(
-    path: Path, entries: dict[str, str], license_id: str, schema: dict
-) -> Rule:
+def _build_rule(path: Path, entries: dict[str, str], license_id: str) -> Rule:
     rule_id = entries.get("id", "<missing id>")
     where = f"{path} [rule {rule_id}]"
     for key in entries:
@@ -422,49 +407,50 @@ def _build_rule(
         if key not in entries:
             raise ParseError(f"{where}: missing key {key!r}")
 
-    action_tokens = _split_tokens(entries["trigger_actions"])
-    _check_tokens(action_tokens, schema["actions"], f"{where} trigger_actions")
-    in_tokens = _split_tokens(entries["trigger_input_forms"])
-    out_tokens = _split_tokens(entries["trigger_output_forms"])
-    _check_tokens(in_tokens, schema["forms"], f"{where} trigger_input_forms")
-    _check_tokens(out_tokens, schema["forms"], f"{where} trigger_output_forms")
-    if not action_tokens or not in_tokens or not out_tokens:
+    actions, in_forms, out_forms = (
+        _members(kind, entries[key], f"{where} {key}")
+        for kind, key in (
+            (ActionKind, "trigger_actions"),
+            (WorkForm, "trigger_input_forms"),
+            (WorkForm, "trigger_output_forms"),
+        )
+    )
+    if not actions or not in_forms or not out_forms:
         raise ParseError(f"{where}: triggers cannot be empty")
-    _check_tokens([entries["output_def"]], schema["output_defs"], f"{where} output_def")
-    _check_tokens([entries["relicense"]], schema["relicense"], f"{where} relicense")
+    output_def = _member(OutputDefinition, entries["output_def"], f"{where} output_def")
+    relicense = _member(RelicensePolicy, entries["relicense"], f"{where} relicense")
 
-    restriction_scopes = schema["restrictions"]
-    publish_tokens = _split_tokens(entries.get("publish_restrictions", ""))
-    use_tokens = _split_tokens(entries.get("use_restrictions", ""))
-    _check_tokens(publish_tokens, restriction_scopes, f"{where} publish_restrictions")
-    _check_tokens(use_tokens, restriction_scopes, f"{where} use_restrictions")
-    for token in publish_tokens:
-        if restriction_scopes[token] != "publish":
+    publish, use = (
+        _members(Restriction, entries.get(key, ""), f"{where} {key}")
+        for key in ("publish_restrictions", "use_restrictions")
+    )
+    for restriction in publish:
+        if restriction in _USE_SCOPED:
             raise ParseError(
-                f"{where}: {token!r} is use scoped, not a publish restriction"
+                f"{where}: {restriction.value!r} is use scoped, "
+                f"not a publish restriction"
             )
-    for token in use_tokens:
-        if restriction_scopes[token] != "use":
+    for restriction in use:
+        if restriction not in _USE_SCOPED:
             raise ParseError(
-                f"{where}: {token!r} is publish scoped, not a use restriction"
+                f"{where}: {restriction.value!r} is publish scoped, "
+                f"not a use restriction"
             )
 
     fuzz_only = _parse_bool(entries.get("fuzz_only", "false"), f"{where} fuzz_only")
-    in_forms = {WorkForm(t) for t in in_tokens}
-    out_forms = {WorkForm(t) for t in out_tokens}
-    if fuzz_only and not all(f.is_bare for f in in_forms | out_forms):
+    if fuzz_only and not all(f.is_bare for f in in_forms + out_forms):
         raise ParseError(f"{where}: fuzz_only rules must use bare forms")
 
     return Rule(
         id=entries["id"],
         license=license_id,
-        trigger_actions={ActionKind(t) for t in action_tokens},
-        trigger_input_forms=in_forms,
-        trigger_output_forms=out_forms,
-        output_def=OutputDefinition(entries["output_def"]),
-        relicense=RelicensePolicy(entries["relicense"]),
-        publish_restrictions={Restriction(t) for t in publish_tokens},
-        use_restrictions={Restriction(t) for t in use_tokens},
+        trigger_actions=set(actions),
+        trigger_input_forms=set(in_forms),
+        trigger_output_forms=set(out_forms),
+        output_def=output_def,
+        relicense=relicense,
+        publish_restrictions=set(publish),
+        use_restrictions=set(use),
         allow_sharing=_parse_bool(
             entries.get("allow_sharing", "true"), f"{where} allow_sharing"
         ),
@@ -472,26 +458,25 @@ def _build_rule(
     )
 
 
-def _parse_file(path: Path, schema: dict) -> LicenseProfile:
+def _parse_file(path: Path) -> LicenseProfile:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     reader = _SectionReader(path, text)
     if not reader.sections or reader.sections[0][0] != "profile":
         raise ParseError(f"{path}: file must start with a [profile] section")
     if sum(1 for name, _ in reader.sections if name == "profile") > 1:
         raise ParseError(f"{path}: only one [profile] section per file")
-    profile = _build_profile(path, reader.sections[0][1], schema)
+    profile = _build_profile(path, reader.sections[0][1])
     for name, entries in reader.sections[1:]:
         if name == "rule":
-            profile.rules.append(_build_rule(path, entries, profile.id, schema))
+            profile.rules.append(_build_rule(path, entries, profile.id))
     return profile
 
 
 def load_kb(paths: Sequence[Union[str, Path]]) -> KnowledgeBase:
     """Load and cross check every .mgl file under the given paths."""
-    schema = load_schema()
     files: list[Path] = []
     for entry in paths:
         path = Path(entry)
@@ -503,7 +488,7 @@ def load_kb(paths: Sequence[Union[str, Path]]) -> KnowledgeBase:
             raise ParseError(f"no such rules file or directory: {path}")
     kb = KnowledgeBase()
     for path in files:
-        kb.add_license(_parse_file(path, schema))
+        kb.add_license(_parse_file(path))
     for profile in kb.licenses.values():
         for ref in sorted(profile.compatible_with):
             if ref not in kb.licenses:

@@ -135,14 +135,14 @@ _FORM_CATEGORY = {
     WorkForm.MIXED: FormCategory.MIXED,
 }
 
-_BARE_FORMS = {WorkForm.RAW, WorkForm.BINARY, WorkForm.SERVICE, WorkForm.MIXED}
-
 _BARE_BY_CATEGORY = {
     FormCategory.RAW: WorkForm.RAW,
     FormCategory.BINARY: WorkForm.BINARY,
     FormCategory.SERVICE: WorkForm.SERVICE,
     FormCategory.MIXED: WorkForm.MIXED,
 }
+
+_BARE_FORMS = frozenset(_BARE_BY_CATEGORY.values())
 
 # Concrete forms each work type may take. Bare forms are always acceptable
 # because they make no claim about the concrete artifact.

@@ -215,6 +215,26 @@ def test_analyze_rejects_a_missing_file(tmp_path, capsys):
     assert "licflow: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_a_workflow_that_is_not_utf8_is_a_usage_failure(command, tmp_path, capsys):
+    path = tmp_path / "latin1.mgw"
+    path.write_bytes(CLEAN_WORKFLOW.replace("Clean", "Cl\xe9an").encode("latin-1"))
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"licflow: error: cannot read {path}: 'utf-8' codec" in err
+
+
+@pytest.mark.parametrize("command", [["licenses"], ["analyze", "unread.mgw"]])
+def test_a_rules_file_that_is_not_utf8_is_a_usage_failure(command, tmp_path, capsys):
+    path = tmp_path / "latin1.mgl"
+    path.write_bytes(CUSTOM_PROFILE.replace("One", "\xd8ne").encode("latin-1"))
+    code = main(command + ["--kb", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"licflow: error: cannot read {path}: 'utf-8' codec" in err
+
+
 def test_analyze_rejects_a_literal_class(tmp_path, capsys):
     path = tmp_path / "literal.mgw"
     path.write_text(

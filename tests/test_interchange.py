@@ -251,6 +251,26 @@ def test_unknown_class_is_rejected():
              '   mg:publishManner "gift" .'),
             "unknown value",
         ),
+        (
+            (WORK_A, WORK_B, "mg:pub a mg:PublishAction ;",
+             "   mg:hasInput mg:A ; mg:hasOutput mg:B ;",
+             '   mg:publishManner "sell", "internal" .'),
+            "duplicate 'mg:publishManner' on 'pub'",
+        ),
+        (
+            (WORK_A, WORK_B, "mg:pub a mg:PublishAction ;",
+             "   mg:hasInput mg:A ; mg:hasOutput mg:B ;",
+             '   mg:publishManner "share" ;',
+             '   mg:publishForm "weights" ; mg:publishForm "exe" .'),
+            "duplicate 'mg:publishForm' on 'pub'",
+        ),
+        (
+            (WORK_A, WORK_B, "mg:reg a mg:RegisterLicenseAction ;",
+             "   mg:hasInput mg:A ; mg:hasOutput mg:B ;",
+             '   mg:registersLicense "MIT" .',
+             'mg:reg mg:registersLicense "Apache-2.0" .'),
+            "duplicate 'mg:registersLicense' on 'reg'",
+        ),
     ],
 )
 def test_invalid_workflows_are_semantic_errors(blocks, hint):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,13 @@ def test_fuzz_only_rule_with_bare_forms_loads(tmp_path):
     ) + "fuzz_only = true\n"
     kb = _load_single(tmp_path, text)
     assert kb.rules["Test-1-main-rule"].fuzz_only is True
+
+
+def test_a_file_that_is_not_utf8_is_rejected_by_name(tmp_path):
+    path = tmp_path / "latin1.mgl"
+    path.write_bytes(MINIMAL_PROFILE.replace("One", "\xd8ne").encode("latin-1"))
+    with pytest.raises(ParseError, match=re.escape(f"cannot read {path}: 'utf-8'")):
+        load_kb([path])
 
 
 def test_missing_path_is_rejected():

@@ -1,0 +1,223 @@
+"""Property-based checks of the two text formats.
+
+Whatever bytes a `.mgw` workflow or a `.mgl` rules file holds, the loaders
+fail only with their own error classes, never with a stray exception. A
+graph written by `serialize_graph` parses back to itself.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from licflow import (
+    ActionKind,
+    InterchangeError,
+    KBError,
+    LicenseFramework,
+    OutputDefinition,
+    RelicensePolicy,
+    Restriction,
+    Revocability,
+    Usage,
+    WorkForm,
+    WorkType,
+    load_kb,
+    parse_workflow,
+    serialize_graph,
+)
+from licflow.interchange import _CLASSES, _NAME_RE, _PREDICATES
+from licflow.kb import _PROFILE_KEYS, _RULE_KEYS
+
+from _helpers import action, graph_of, inputs_of, work
+
+# Bounded, so tier-1 stays fast, and without an example database.
+BOUNDED = settings(max_examples=60, deadline=None, database=None)
+
+PREFIX = "@prefix mg: <urn:licflow:v1#> ."
+
+# ---------------------------------------------------------------------------
+# Workflows: only InterchangeError
+# ---------------------------------------------------------------------------
+
+_SUBJECTS = ["A", "B", "C", "pub", "fit"]
+_VERBS = ["a"] + [f"mg:{p}" for p in sorted(_PREDICATES)]
+_OBJECTS = (
+    [f"mg:{c}" for c in sorted(_CLASSES)]
+    + [f"mg:{s}" for s in _SUBJECTS]
+    + ['"model"', '"dataset"', '"weights"', '"text"', '"code"', '"software"']
+    + ['"MIT"', '"Llama2"', '"share"', '"sell"', '"derived"', '"x"']
+    + ["5", "true", "false", "mg:", "other:A"]
+)
+
+
+def _render(blocks: list[tuple[str, list[tuple[str, list[str]]]]]) -> str:
+    lines = [PREFIX]
+    for subject, rows in blocks:
+        body = " ; ".join(f"{verb} {', '.join(objects)}" for verb, objects in rows)
+        lines.append(f"mg:{subject} {body} .")
+    return "\n".join(lines) + "\n"
+
+
+_statements = st.lists(
+    st.tuples(
+        st.sampled_from(_SUBJECTS),
+        st.lists(
+            st.tuples(
+                st.sampled_from(_VERBS),
+                st.lists(st.sampled_from(_OBJECTS), min_size=1, max_size=2),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    ),
+    max_size=8,
+).map(_render)
+
+_token_soup = st.lists(
+    st.sampled_from(_VERBS + _OBJECTS + [f"mg:{s}" for s in _SUBJECTS] + list(".;,")),
+    max_size=30,
+).map(lambda tokens: PREFIX + "\n" + " ".join(tokens))
+
+
+@BOUNDED
+@given(st.text() | st.text().map(lambda text: PREFIX + "\n" + text))
+def test_arbitrary_text_fails_only_with_interchange_errors(text):
+    try:
+        parse_workflow(text)
+    except InterchangeError:
+        pass
+
+
+@BOUNDED
+@given(_statements | _token_soup)
+def test_vocabulary_soup_fails_only_with_interchange_errors(text):
+    try:
+        parse_workflow(text)
+    except InterchangeError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# Rules files: only KBError
+# ---------------------------------------------------------------------------
+
+_TOKENS = [
+    member.value
+    for kind in (
+        ActionKind,
+        WorkForm,
+        WorkType,
+        Usage,
+        OutputDefinition,
+        RelicensePolicy,
+        Restriction,
+        LicenseFramework,
+        Revocability,
+    )
+    for member in kind
+] + ["true", "false", "T-1", "T-2", ""]
+
+_VALID_RULES = """\
+[profile]
+id = T-1
+name = Test
+framework = model_license
+intended_types = model
+permissive = true
+granted = use
+compatible_with = T-1
+[rule]
+id = T-1-rule
+trigger_actions = modify
+trigger_input_forms = weights
+trigger_output_forms = weights
+output_def = derivative
+relicense = compatible
+publish_restrictions = include_license
+use_restrictions = use_behavior
+fuzz_only = false
+"""
+
+_values = st.lists(st.sampled_from(_TOKENS), max_size=3).map(", ".join)
+
+
+def _edit(lines: list[str], edits: list[tuple[int, str, str]]) -> str:
+    """Give chosen lines a new key or value; headers become entries too."""
+    lines = list(lines)
+    for index, part, text in edits:
+        key, _, value = lines[index % len(lines)].partition(" = ")
+        if part == "key":
+            key = text
+        else:
+            value = text
+        lines[index % len(lines)] = f"{key} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+_edited_rules = st.lists(
+    st.tuples(
+        st.integers(0, 100),
+        st.sampled_from(["key", "value"]),
+        st.sampled_from(sorted(_PROFILE_KEYS | _RULE_KEYS)) | _values,
+    ),
+    max_size=3,
+).map(lambda edits: _edit(_VALID_RULES.splitlines(), edits))
+
+
+@st.composite
+def _rules_bytes(draw) -> bytes:
+    data = draw(st.binary() | (_edited_rules | st.text()).map(str.encode))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=2)) + data[at:]
+    return data
+
+
+@BOUNDED
+@given(_rules_bytes())
+def test_arbitrary_rules_files_fail_only_with_kb_errors(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.mgl"
+    path.write_bytes(data)
+    try:
+        load_kb([path])
+    except KBError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# Round trip
+# ---------------------------------------------------------------------------
+
+_ids = st.from_regex(_NAME_RE, fullmatch=True)
+_names = st.text() | st.text(alphabet='"\\\n\r\t #;.,:<>é漢\U0001f600a')
+_licenses = st.none() | _names
+
+
+@settings(BOUNDED, max_examples=40)
+@given(
+    st.lists(_ids, min_size=5, max_size=5, unique=True),
+    st.lists(_names, min_size=4, max_size=4),
+    st.lists(_licenses, min_size=3, max_size=3),
+    st.booleans(),
+)
+def test_serialized_graphs_parse_back_to_themselves(ids, names, licenses, copublish):
+    model, data, aux, trained, fit = ids
+    graph = graph_of(
+        [
+            work(model, name=names[0], license=licenses[0]),
+            work(data, WorkType.DATASET, WorkForm.TEXT, licenses[1], names[1]),
+            work(aux, WorkType.DATASET, WorkForm.TEXT, licenses[2], names[2]),
+            work(trained, name=names[3]),
+        ],
+        [
+            action(
+                fit,
+                ActionKind.TRAIN,
+                inputs_of([model], training=[data], auxiliary=[aux]),
+                trained,
+                copublish={data} if copublish else (),
+            )
+        ],
+    )
+    assert parse_workflow(serialize_graph(graph)) == graph
