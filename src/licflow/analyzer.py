@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .kb import (
     KnowledgeBase,
@@ -34,6 +34,7 @@ from .model import (
 )
 from .reasoner import (
     DeferredConflict,
+    RequestRecord,
     RulingRecord,
     members_of,
     relicense_constraints,
@@ -107,80 +108,109 @@ def published_targets(graph: WorkflowGraph) -> list[str]:
     )
 
 
+class AnalysisIndex:
+    """Whole-graph facts of one reasoned graph, grouped once for every target.
+
+    A work's license profiles, conflict and rights verdicts depend on the
+    work alone, so each is settled on first use and kept for later targets.
+    """
+
+    def __init__(self, graph: WorkflowGraph, kb: KnowledgeBase) -> None:
+        self.graph = graph
+        self.kb = kb
+        self.full_parents = edge_parents(graph, _FULL_KINDS)
+        self.ms_parents = edge_parents(graph, _MS_KINDS)
+        self.rulings = rulings_by_work(graph)
+        # Requests by the output of the action that makes them.
+        self.requests: dict[str, list[RequestRecord]] = {}
+        for record in graph.requests:
+            output = graph.actions[record.action].output
+            self.requests.setdefault(output, []).append(record)
+        self._profiles: dict[str, list[LicenseProfile]] = {}
+        self._conflicts: dict[str, Optional[DeferredConflict]] = {}
+        self._rights: dict[str, list[tuple[ReportCode, str]]] = {}
+
+    def profiles(self, work_id: str) -> list[LicenseProfile]:
+        """Known profiles of the licenses that speak for a work."""
+        if work_id not in self._profiles:
+            work, kb = self.graph.works[work_id], self.kb
+            rulings = self.rulings.get(work_id, [])
+            self._profiles[work_id] = [
+                kb.licenses[lic]
+                for lic in members_of(work, work.license, rulings, kb)
+                if lic in kb.licenses
+            ]
+        return self._profiles[work_id]
+
+    def conflict(self, work_id: str) -> Optional[DeferredConflict]:
+        if work_id not in self._conflicts:
+            self._conflicts[work_id] = settle_license(
+                self.graph.works[work_id],
+                self.graph.producers.get(work_id),
+                self.rulings.get(work_id, []),
+                self.kb,
+            )[1]
+        return self._conflicts[work_id]
+
+    def rights(self, work_id: str) -> list[tuple[ReportCode, str]]:
+        """(code, subject) of E2/E4 and W4 for the requests that make the work."""
+        if work_id not in self._rights:
+            found = []
+            for record in self.requests.get(work_id, ()):
+                requirements = {
+                    usage_requirement(self.kb, profile.id, record.usage)
+                    for profile in self.profiles(record.target_work)
+                }
+                if Requirement.RESERVED in requirements:
+                    sublicense = record.usage is Usage.SUBLICENSE
+                    code = ReportCode.E4 if sublicense else ReportCode.E2
+                    found.append((code, record.target_work))
+                if Requirement.NOT_STATED in requirements:
+                    found.append((ReportCode.W4, record.target_work))
+            self._rights[work_id] = found
+        return self._rights[work_id]
+
+
 @dataclass
 class _Facts:
-    """What one analysis reads of a reasoned graph, each fact looked up once."""
+    """One target's closure, read through the index of its reasoned graph."""
 
-    graph: WorkflowGraph
-    kb: KnowledgeBase
+    index: AnalysisIndex
     target: str
     manner: PublishManner
     full: set[str]
     contained: set[str]
     actions: list[ActionNode]
-    members: dict[str, set[str]]
-    rulings: dict[str, list[RulingRecord]]
     conflicts: list[DeferredConflict]
 
 
-def _facts(graph: WorkflowGraph, kb: KnowledgeBase, published: str) -> _Facts:
+def _facts(index: AnalysisIndex, published: str) -> _Facts:
+    graph = index.graph
     if published not in graph.works:
         raise NotPublished(f"unknown work '{published}'")
-    producers = {action.output: action for action in graph.actions.values()}
-    publisher = producers.get(published)
-    manner = (
-        publisher.publish_manner
-        if publisher is not None and publisher.kind is ActionKind.PUBLISH
-        else None
-    )
-    if manner is None:
-        raise NotPublished(
-            f"work '{published}' is not the output of a publish action"
-        )
-    full = dependency_closure(graph, published, _FULL_KINDS)
-    actions = [producers[wid] for wid in full if wid in producers]
-    rulings = rulings_by_work(graph)
-    # Requests of actions in the closure only target works in it, but E6
-    # reads each relicensed work from behind its provenance edge.
-    read = full | {
-        action.inputs[0].work
-        for action in actions
-        if action.kind is ActionKind.REGISTER_LICENSE
-    }
-    members = {
-        wid: members_of(
-            graph.works[wid], graph.works[wid].license, rulings.get(wid, []), kb
-        )
-        for wid in read
-    }
-    settled = (
-        settle_license(graph.works[wid], producers.get(wid), rulings.get(wid, []), kb)
-        for wid in sorted(full)
-    )
-    conflicts = [conflict for _, conflict in settled if conflict is not None]
+    publisher = graph.producers.get(published)
+    if (
+        publisher is None
+        or publisher.kind is not ActionKind.PUBLISH
+        or publisher.publish_manner is None
+    ):
+        raise NotPublished(f"work '{published}' is not the output of a publish action")
+    full = closure(published, index.full_parents)
+    settled = (index.conflict(wid) for wid in sorted(full))
     return _Facts(
-        graph=graph,
-        kb=kb,
+        index=index,
         target=published,
-        manner=manner,
+        manner=publisher.publish_manner,
         full=full,
-        contained=dependency_closure(graph, published, _MS_KINDS),
-        actions=actions,
-        members=members,
-        rulings=rulings,
-        conflicts=conflicts,
+        contained=closure(published, index.ms_parents),
+        actions=[graph.producers[wid] for wid in full if wid in graph.producers],
+        conflicts=[conflict for conflict in settled if conflict is not None],
     )
 
 
 def _report(facts: _Facts, code: ReportCode, subject: str) -> Report:
-    name = facts.graph.works[subject].name
+    name = facts.index.graph.works[subject].name
     return make_report(code, subject, name, facts.target)
-
-
-def _profiles(facts: _Facts, work_id: str) -> list[LicenseProfile]:
-    """Known profiles of the licenses speaking for a work; unknown ids are skipped."""
-    kb = facts.kb
-    return [kb.licenses[lic] for lic in facts.members[work_id] if lic in kb.licenses]
 
 
 def _scoped_rulings(
@@ -188,8 +218,8 @@ def _scoped_rulings(
 ) -> Iterator[tuple[RulingRecord, Rule]]:
     """(ruling, rule) for every ruling on a work in scope whose rule is known."""
     for wid in scope:
-        for record in facts.rulings.get(wid, ()):
-            rule = facts.kb.rules.get(record.rule)
+        for record in facts.index.rulings.get(wid, ()):
+            rule = facts.index.kb.rules.get(record.rule)
             if rule is not None:
                 yield record, rule
 
@@ -198,11 +228,11 @@ def check_nonstandard_licensing(facts: _Facts) -> list[Report]:
     """W1 when a work sits under a license not meant for its material type."""
     reports = []
     for wid in facts.full:
-        work_type = facts.graph.works[wid].work_type
+        work_type = facts.index.graph.works[wid].work_type
         if any(
             profile.framework is not LicenseFramework.PUBLIC_DOMAIN_LIKE
             and work_type not in profile.intended_types
-            for profile in _profiles(facts, wid)
+            for profile in facts.index.profiles(wid)
         ):
             reports.append(_report(facts, ReportCode.W1, wid))
     return reports
@@ -212,7 +242,7 @@ def check_revocability(facts: _Facts) -> list[Report]:
     """W2 under revocable licenses, W3 where revocability is unstated."""
     reports = []
     for wid in facts.full:
-        stances = {profile.revocable for profile in _profiles(facts, wid)}
+        stances = {profile.revocable for profile in facts.index.profiles(wid)}
         if Revocability.YES in stances:
             reports.append(_report(facts, ReportCode.W2, wid))
         if Revocability.UNSTATED in stances:
@@ -222,26 +252,11 @@ def check_revocability(facts: _Facts) -> list[Report]:
 
 def _rights_reports(facts: _Facts) -> list[Report]:
     """E2/E4 for reserved rights, W4 for rights the license never mentions."""
-    graph, kb = facts.graph, facts.kb
-    reports = []
-    for record in graph.requests:
-        if graph.actions[record.action].output not in facts.full:
-            continue
-        requirements = {
-            usage_requirement(kb, license_id, record.usage)
-            for license_id in facts.members[record.target_work]
-            if license_id in kb.licenses
-        }
-        if Requirement.RESERVED in requirements:
-            code = (
-                ReportCode.E4
-                if record.usage is Usage.SUBLICENSE
-                else ReportCode.E2
-            )
-            reports.append(_report(facts, code, record.target_work))
-        if Requirement.NOT_STATED in requirements:
-            reports.append(_report(facts, ReportCode.W4, record.target_work))
-    return reports
+    return [
+        _report(facts, code, subject)
+        for wid in facts.full
+        for code, subject in facts.index.rights(wid)
+    ]
 
 
 def check_publish_restrictions(facts: _Facts) -> list[Report]:
@@ -284,15 +299,15 @@ def _exclusive_members(facts: _Facts, work_id: str) -> bool:
             Usage.COMMERCIAL in profile.reserved
             or any(rule.use_restrictions for rule in profile.rules)
         )
-        for profile in _profiles(facts, work_id)
+        for profile in facts.index.profiles(work_id)
     )
 
 
 def _relicense_forbidden(facts: _Facts, work_id: str, new_license: str) -> bool:
     """Whether the terms the work answers to forbid registering `new_license`."""
-    kb = facts.kb
+    kb = facts.index.kb
     none_allowed, compat_only = relicense_constraints(
-        facts.rulings.get(work_id, ()), kb
+        facts.index.rulings.get(work_id, ()), kb
     )
     if none_allowed - {new_license}:
         return True
@@ -303,17 +318,14 @@ def _relicense_forbidden(facts: _Facts, work_id: str, new_license: str) -> bool:
     ):
         return True
     return any(
-        Usage.RELICENSE in profile.reserved for profile in _profiles(facts, work_id)
+        Usage.RELICENSE in profile.reserved for profile in facts.index.profiles(work_id)
     )
 
 
 def check_conflicts(facts: _Facts) -> list[Report]:
     """Relicensing, exclusivity, and copyleft-collision errors (E6 to E10)."""
-    graph, full = facts.graph, facts.full
+    graph, full = facts.index.graph, facts.full
     reports = []
-
-    # Deriving actions inside the closure, by each distinct work they consume.
-    consumers: dict[str, list[ActionNode]] = {}
     for action in facts.actions:
         if (
             action.kind is ActionKind.REGISTER_LICENSE
@@ -323,9 +335,6 @@ def check_conflicts(facts: _Facts) -> list[Report]:
             )
         ):
             reports.append(_report(facts, ReportCode.E6, action.output))
-        if action.kind in _DERIVING_KINDS:
-            for work_id in {inp.work for inp in action.inputs}:
-                consumers.setdefault(work_id, []).append(action)
 
     if _exclusive_members(facts, facts.target):
         for record, rule in _scoped_rulings(facts, facts.contained):
@@ -338,8 +347,13 @@ def check_conflicts(facts: _Facts) -> list[Report]:
         reports.append(_report(facts, ReportCode.E10, conflict.work))
     for record, rule in _scoped_rulings(facts, full):
         if Restriction.LLAMA_EXCLUSIVE in rule.use_restrictions:
-            for action in consumers.get(record.work, ()):
-                if graph.works[action.output].license != rule.license:
+            # Each deriving action inside the closure that consumes the work.
+            for output in graph.consumers.get(record.work, ()):
+                if (
+                    output in full
+                    and graph.producers[output].kind in _DERIVING_KINDS
+                    and graph.works[output].license != rule.license
+                ):
                     reports.append(_report(facts, ReportCode.E9, record.work))
         if (
             Restriction.EXCLUSIVE_TERMS in rule.publish_restrictions
@@ -359,10 +373,17 @@ def exit_class_of(reports: list[Report]) -> ExitClass:
 
 
 def analyze_publication(
-    graph: WorkflowGraph, kb: KnowledgeBase, published: str
+    graph: WorkflowGraph,
+    kb: KnowledgeBase,
+    published: str,
+    index: Optional[AnalysisIndex] = None,
 ) -> AnalysisResult:
-    """Run every compliance check against one published work."""
-    facts = _facts(graph, kb, published)
+    """Run every compliance check against one published work.
+
+    Pass the same `AnalysisIndex` of `graph` to every target of one
+    verdict; without one, the call builds its own.
+    """
+    facts = _facts(index or AnalysisIndex(graph, kb), published)
     reports: list[Report] = []
     reports.extend(check_nonstandard_licensing(facts))
     reports.extend(check_revocability(facts))

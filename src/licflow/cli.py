@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .analyzer import (
+    AnalysisIndex,
     AnalysisResult,
     ExitClass,
     analyze_publication,
@@ -30,9 +31,7 @@ from .model import GraphError, WorkflowGraph, validate_graph
 from .reasoner import run_all
 from .reports import Report, parse_code, render, sort_reports
 
-EXIT_OK = 0
-EXIT_WARNINGS = 1
-EXIT_ERRORS = 2
+# Usage and input failures; results exit with their `ExitClass` value.
 EXIT_USAGE = 3
 
 KB_ENV_VAR = "LICFLOW_KB"
@@ -145,7 +144,7 @@ def cmd_analyze(path: str, config: CliConfig) -> int:
             if config.output == "human":
                 print(DISCLAIMER)
             _print_reports_human(structural, "workflow validation failed")
-        return EXIT_ERRORS
+        return ExitClass.ERRORS.value
 
     reasoned, _stats = run_all(graph, kb, config.fuzz)
     targets = published_targets(reasoned)
@@ -157,8 +156,9 @@ def cmd_analyze(path: str, config: CliConfig) -> int:
         targets = [config.target]
     # Each target is analysed as its output is written, so the reports of
     # every target are never held at once.
+    index = AnalysisIndex(reasoned, kb)
     results: Iterable[AnalysisResult] = (
-        analyze_publication(reasoned, kb, target) for target in targets
+        analyze_publication(reasoned, kb, target, index) for target in targets
     )
 
     if config.output == "dot":
@@ -199,7 +199,7 @@ def cmd_validate(path: str, config: CliConfig) -> int:
     else:
         print(DISCLAIMER)
         _print_reports_human(reports, f"validation of {path}")
-    return EXIT_ERRORS if reports else EXIT_OK
+    return (ExitClass.ERRORS if reports else ExitClass.CLEAN).value
 
 
 def cmd_licenses(config: CliConfig) -> int:
@@ -216,7 +216,7 @@ def cmd_licenses(config: CliConfig) -> int:
             f"{profile.id}  framework={profile.framework.value}  {stance}  "
             f"types={types}  rules={len(profile.rules)}"
         )
-    return EXIT_OK
+    return ExitClass.CLEAN.value
 
 
 def cmd_explain(code_text: str) -> int:
@@ -226,7 +226,7 @@ def cmd_explain(code_text: str) -> int:
         return _fail(str(err))
     print(DISCLAIMER)
     print(f"{code.name} ({code.severity.value}): {render(code, '?work')}")
-    return EXIT_OK
+    return ExitClass.CLEAN.value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -291,7 +291,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        return EXIT_USAGE if exc.code not in (0, None) else ExitClass.CLEAN.value
     config = _config_from(args)
     if args.command == "analyze":
         return cmd_analyze(args.workflow, config)

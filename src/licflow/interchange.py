@@ -96,14 +96,12 @@ _SINGLE_ACTION_PREDICATES = frozenset(
     {"hasOutput", "publishManner", "publishForm", "registersLicense"}
 )
 
+# The first three are required.
+_WORK_PREDICATES = ("name", "workType", "workForm", "hasLicense", "origin")
+
 _CLASSES = frozenset({"Work", "Ruling", "Request"} | set(_ACTION_CLASSES))
 _PREDICATES = frozenset(
     {
-        "name",
-        "workType",
-        "workForm",
-        "hasLicense",
-        "origin",
         "copublish",
         "hasRuling",
         "hasReliedwork",
@@ -114,6 +112,7 @@ _PREDICATES = frozenset(
         "targetWork",
         "usage",
     }
+    | set(_WORK_PREDICATES)
     | set(_EDGE_PREDICATES)
     | set(_INPUT_PREDICATES)
     | _SINGLE_ACTION_PREDICATES
@@ -409,12 +408,12 @@ def parse_workflow(text: str) -> WorkflowGraph:
         for predicate, obj in by_subject[subject]:
             if predicate == "a" or predicate in _REASONER_PREDICATES:
                 continue
-            if predicate not in ("name", "workType", "workForm", "hasLicense", "origin"):
+            if predicate not in _WORK_PREDICATES:
                 raise SemanticError(f"predicate 'mg:{predicate}' not valid on a work")
             if predicate in fields:
                 raise SemanticError(f"duplicate 'mg:{predicate}' on '{subject}'")
             fields[predicate] = obj
-        for required in ("name", "workType", "workForm"):
+        for required in _WORK_PREDICATES[:3]:
             if required not in fields:
                 raise SemanticError(f"work '{subject}' is missing 'mg:{required}'")
         license_id: Optional[str] = None

@@ -200,6 +200,20 @@ class WorkflowGraph:
     rulings: list[RulingRecord] = field(default_factory=list)
     requests: list[RequestRecord] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        # Derived from `actions` and kept current by `add_action`: each
+        # work's producing action, and the outputs of the actions consuming it.
+        self.producers: dict[str, ActionNode] = {}
+        self.consumers: dict[str, list[str]] = {}
+        for action in self.actions.values():
+            _link_action(self, action)
+
+
+def _link_action(graph: WorkflowGraph, action: ActionNode) -> None:
+    graph.producers[action.output] = action
+    for work_id in dict.fromkeys(inp.work for inp in action.inputs):
+        graph.consumers.setdefault(work_id, []).append(action.output)
+
 
 def form_is_valid(work_type: WorkType, form: WorkForm) -> bool:
     """Check whether a concrete form is plausible for a work type."""
@@ -305,11 +319,7 @@ def add_action(graph: WorkflowGraph, action: ActionNode) -> None:
     if action.output not in graph.works:
         raise UnknownWork(f"action {action.id!r}: unknown output work {action.output!r}")
     _check_arity(graph, action)
-    producer_inputs = {
-        other.output: [inp.work for inp in other.inputs]
-        for other in graph.actions.values()
-    }
-    if action.output in producer_inputs:
+    if action.output in graph.producers:
         raise DoubleProducer(
             f"work {action.output!r} is already produced by another action"
         )
@@ -320,27 +330,28 @@ def add_action(graph: WorkflowGraph, action: ActionNode) -> None:
                 f"action {action.id!r}: publish form {action.publish_form.value!r} "
                 f"does not match output form {declared.value!r}"
             )
-    input_ids = {inp.work for inp in action.inputs}
+    input_ids = [inp.work for inp in action.inputs]
     if action.output in input_ids:
         raise CycleIntroduced(f"action {action.id!r}: output is also an input")
+    # Written in file order, the output has no consumers yet.
+    downstream = closure(action.output, graph.consumers)
     for work_id in input_ids:
-        if action.output in closure(work_id, producer_inputs):
+        if work_id in downstream:
             raise CycleIntroduced(
                 f"action {action.id!r}: output {action.output!r} already feeds "
                 f"input {work_id!r}"
             )
     graph.actions[action.id] = action
+    _link_action(graph, action)
 
 
 def toposort_actions(graph: WorkflowGraph) -> list[ActionNode]:
     """Actions in dependency order, ties broken by action id."""
-    produced_by = {a.output: a.id for a in graph.actions.values()}
+    producers = graph.producers
     pending: dict[str, set[str]] = {}
     for action in graph.actions.values():
         deps = {
-            produced_by[inp.work]
-            for inp in action.inputs
-            if inp.work in produced_by
+            producers[inp.work].id for inp in action.inputs if inp.work in producers
         }
         pending[action.id] = deps
     ordered: list[ActionNode] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .kb import (
     KnowledgeBase,
@@ -174,10 +174,7 @@ def _normalized_kind(action: ActionNode) -> ActionKind:
 
 
 def _relied_sources(
-    action: ActionNode,
-    mix_parents: dict[str, list[str]],
-    works: Mapping[str, Work],
-    producers: dict[str, ActionNode],
+    graph: WorkflowGraph, action: ActionNode, mix_parents: dict[str, list[str]]
 ) -> list[tuple[str, ActionKind]]:
     """Every work this action relies on, with the kind that shaped it.
 
@@ -201,8 +198,8 @@ def _relied_sources(
         seen.add(state)
         results.append(state)
         work_id, kind = state
-        producer = producers.get(work_id)
-        if _declared_license(works[work_id]) is not None or producer is None:
+        producer = graph.producers.get(work_id)
+        if _declared_license(graph.works[work_id]) is not None or producer is None:
             continue
         if kind in _IDENTITY_KINDS:
             kind = _normalized_kind(producer)
@@ -326,13 +323,10 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
     the round before. Matching depends only on the license, the kind and
     the forms, so each relied work is matched once per license it answers to.
     """
-    producers = {a.output: a for a in graph.actions.values()}
     mix_parents = edge_parents(graph, (EdgeKind.MIXWORK,))
     relied_by: dict[str, list[tuple[ActionNode, ActionKind]]] = {}
     for action in toposort_actions(graph):
-        for source, kind in _relied_sources(
-            action, mix_parents, graph.works, producers
-        ):
+        for source, kind in _relied_sources(graph, action, mix_parents):
             relied_by.setdefault(source, []).append((action, kind))
     by_work = rulings_by_work(graph)
     known = {(r.work, r.relied_work, r.rule) for r in graph.rulings}
@@ -346,7 +340,7 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
         fresh: list[RulingRecord] = []
         for source in sorted(changed):
             work, rulings = graph.works[source], by_work.get(source, [])
-            settled, _ = settle_license(work, producers.get(source), rulings, kb)
+            settled, _ = settle_license(work, graph.producers.get(source), rulings, kb)
             members = members_of(work, settled, rulings, kb)
             unmatched = members.intersection(kb.licenses) - matched[source]
             matched[source] |= unmatched
@@ -387,12 +381,11 @@ def determine_licenses(
     graph: WorkflowGraph, kb: KnowledgeBase
 ) -> tuple[WorkflowGraph, list[DeferredConflict]]:
     """Write each work's license, keeping declared ones; conflicts in work-id order."""
-    producers = {a.output: a for a in graph.actions.values()}
     by_work = rulings_by_work(graph)
     conflicts: list[DeferredConflict] = []
     for wid, work in sorted(graph.works.items()):
         license_id, conflict = settle_license(
-            work, producers.get(wid), by_work.get(wid, []), kb
+            work, graph.producers.get(wid), by_work.get(wid, []), kb
         )
         if conflict is not None:
             conflicts.append(conflict)

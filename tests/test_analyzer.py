@@ -697,14 +697,23 @@ def test_analysis_settles_only_the_target_closure(seed_kb, monkeypatch):
             return original(work, *rest)
 
         monkeypatch.setattr(analyzer, name, recording)
-    result = analyze_publication(reasoned, seed_kb, "PA")
+    index = analyzer.AnalysisIndex(reasoned, seed_kb)
+    result = analyze_publication(reasoned, seed_kb, "PA", index)
     full = dependency_closure(
         reasoned, "PA", (EdgeKind.MIXWORK, EdgeKind.SUBWORK, EdgeKind.AUXWORK)
     )
-    assert set(settled) == full
-    # E6 reads the registered work's input from behind its provenance edge.
-    assert set(read) == full | {"B"}
+    assert sorted(settled) == sorted(full)
+    # Members are read on demand, and E6 may read the registered work's
+    # input from behind its provenance edge.
+    assert set(read) <= full | {"B"}
     assert code_subject_multiset(result.reports)[("E6", "C")] == 1
+    # A later analysis on the same index settles and reads nothing again.
+    asked = []
+    monkeypatch.setattr(analyzer, "usage_requirement", lambda *args: asked.append(args))
+    analyze_publication(reasoned, seed_kb, "PA", index)
+    assert sorted(settled) == sorted(full)
+    assert len(read) == len(set(read))
+    assert asked == []
 
 
 def test_every_report_targets_the_published_work(seed_kb):

@@ -3,21 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from licflow import bundled_rules_dir
-from licflow.cli import (
-    DISCLAIMER,
-    EXIT_ERRORS,
-    EXIT_OK,
-    EXIT_USAGE,
-    EXIT_WARNINGS,
-    KB_ENV_VAR,
-    main,
-)
+import licflow
+from licflow import ActionKind, ExitClass, bundled_rules_dir, serialize_graph
+from licflow import analyzer, model, reasoner
+from licflow.cli import DISCLAIMER, EXIT_USAGE, KB_ENV_VAR, main
+
+from _helpers import action, graph_of, publish, work
 
 CLEAN_WORKFLOW = """\
 @prefix mg: <urn:licflow:v1#> .
@@ -99,7 +99,7 @@ def _structured_multiset(text: str) -> Counter:
 def test_analyze_exits_with_errors_when_errors_exist(setting_paths, capsys):
     code = main(["analyze", str(setting_paths["iv"])])
     out = capsys.readouterr().out
-    assert code == EXIT_ERRORS
+    assert code == ExitClass.ERRORS.value
     assert "published work E" in out
     assert "published work F" in out
 
@@ -109,7 +109,7 @@ def test_analyze_exits_with_warnings_on_notice_and_warning_findings(
 ):
     code = main(["analyze", str(setting_paths["i"])])
     out = capsys.readouterr().out
-    assert code == EXIT_WARNINGS
+    assert code == ExitClass.WARNINGS.value
     assert "published work E" in out
     assert "published work F" in out
 
@@ -117,7 +117,7 @@ def test_analyze_exits_with_warnings_on_notice_and_warning_findings(
 def test_analyze_exits_with_warnings_when_only_warnings_exist(setting_paths, capsys):
     code = main(["analyze", str(setting_paths["ii"])])
     out = capsys.readouterr().out
-    assert code == EXIT_WARNINGS
+    assert code == ExitClass.WARNINGS.value
     assert "W1" in out
     assert " 0 errors" in out
 
@@ -127,7 +127,7 @@ def test_analyze_exits_clean_on_a_clean_workflow(tmp_path, capsys):
     path.write_text(CLEAN_WORKFLOW, encoding="utf-8")
     code = main(["analyze", str(path)])
     out = capsys.readouterr().out
-    assert code == EXIT_OK
+    assert code == ExitClass.CLEAN.value
     assert "no findings" in out
 
 
@@ -142,7 +142,7 @@ def test_structured_output_is_json_lines_without_the_disclaimer(
 ):
     code = main(["analyze", str(setting_paths["i"]), "--output", "structured"])
     out = capsys.readouterr().out
-    assert code == EXIT_WARNINGS
+    assert code == ExitClass.WARNINGS.value
     assert DISCLAIMER not in out
     lines = out.strip().splitlines()
     assert lines
@@ -178,7 +178,7 @@ def test_target_limits_the_analysis(setting_paths, capsys):
          "--output", "structured"]
     )
     out = capsys.readouterr().out
-    assert code == EXIT_ERRORS
+    assert code == ExitClass.ERRORS.value
     targets = {json.loads(line)["target"] for line in out.strip().splitlines()}
     assert targets == {"E"}
 
@@ -193,7 +193,7 @@ def test_target_must_be_a_published_work(setting_paths, capsys):
 def test_dot_output_renders_the_reasoned_graph(setting_paths, capsys):
     code = main(["analyze", str(setting_paths["i"]), "--output", "dot"])
     out = capsys.readouterr().out
-    assert code == EXIT_WARNINGS
+    assert code == ExitClass.WARNINGS.value
     assert out.startswith("digraph workflow {")
     assert out.endswith("}\n")
     assert DISCLAIMER not in out
@@ -207,6 +207,68 @@ def test_analyze_rejects_a_malformed_workflow(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert "licflow: error:" in err
+
+
+def test_a_cycle_error_names_the_same_input_under_every_hash_seed(fixtures_dir):
+    # The merge's inputs C, D and B all lie downstream of its output; the
+    # first in declared order is named, whatever order a set would give.
+    env = dict(os.environ, PYTHONPATH=str(Path(licflow.__file__).parents[1]))
+    runs = set()
+    for seed in range(6):
+        env["PYTHONHASHSEED"] = str(seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "licflow.cli", "analyze",
+             str(fixtures_dir / "cyclic.mgw")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        runs.add((done.returncode, done.stdout, done.stderr))
+    assert runs == {
+        (
+            EXIT_USAGE,
+            "",
+            "licflow: error: action 'merge': output 'O' already feeds input 'C'\n",
+        )
+    }
+
+
+def _published_copies(targets: int) -> str:
+    """A licensed model, copied and published `targets` times."""
+    copies = [f"C{i}" for i in range(targets)]
+    graph = graph_of(
+        [work("M", license="MIT")]
+        + [work(wid) for wid in copies]
+        + [work(f"P{i}") for i in range(targets)],
+        [action(f"copy{wid}", ActionKind.COPY, ["M"], wid) for wid in copies]
+        + [publish(f"pub{i}", wid, f"P{i}") for i, wid in enumerate(copies)],
+    )
+    return serialize_graph(graph)
+
+
+def test_whole_graph_grouping_happens_once_per_verdict(tmp_path, monkeypatch, capsys):
+    counts = []
+    for targets in (10, 20):
+        path = tmp_path / f"copies{targets}.mgw"
+        path.write_text(_published_copies(targets), encoding="utf-8")
+        calls: Counter = Counter()
+        with monkeypatch.context() as patch:
+            for original in (model.edge_parents, reasoner.rulings_by_work):
+                name = original.__name__
+
+                def counting(*args, original=original, name=name):
+                    calls[name] += 1
+                    return original(*args)
+
+                for module in (model, reasoner, analyzer):
+                    if getattr(module, name, None) is original:
+                        patch.setattr(module, name, counting)
+            main(["analyze", str(path), "--output", "structured"])
+        lines = capsys.readouterr().out.splitlines()
+        assert {json.loads(line)["target"] for line in lines} == {
+            f"P{i}" for i in range(targets)
+        }
+        counts.append(calls)
+    assert counts[0]["edge_parents"] > 0 and counts[0]["rulings_by_work"] > 0
+    assert counts[0] == counts[1]
 
 
 def test_analyze_rejects_a_missing_file(tmp_path, capsys):
@@ -293,7 +355,7 @@ def test_analyze_stops_on_structural_failures(tmp_path, capsys):
     path.write_text(MISMATCHED_WORKFLOW, encoding="utf-8")
     code = main(["analyze", str(path)])
     out = capsys.readouterr().out
-    assert code == EXIT_ERRORS
+    assert code == ExitClass.ERRORS.value
     assert "workflow validation failed" in out
     assert "E1" in out
 
@@ -306,7 +368,7 @@ def test_analyze_stops_on_structural_failures(tmp_path, capsys):
 def test_validate_passes_a_well_formed_workflow(setting_paths, capsys):
     code = main(["validate", str(setting_paths["i"])])
     out = capsys.readouterr().out
-    assert code == EXIT_OK
+    assert code == ExitClass.CLEAN.value
     assert "no findings" in out
     assert out.count(DISCLAIMER) == 1
 
@@ -316,7 +378,7 @@ def test_validate_reports_type_form_mismatches(tmp_path, capsys):
     path.write_text(MISMATCHED_WORKFLOW, encoding="utf-8")
     code = main(["validate", str(path), "--output", "structured"])
     out = capsys.readouterr().out
-    assert code == EXIT_ERRORS
+    assert code == ExitClass.ERRORS.value
     records = [json.loads(line) for line in out.strip().splitlines()]
     assert [r["code"] for r in records] == ["E1"]
     assert records[0]["subject"] == "W"
@@ -336,7 +398,7 @@ def test_validate_rejects_a_malformed_file(tmp_path, capsys):
 def test_licenses_lists_the_bundled_knowledge_base(capsys):
     code = main(["licenses"])
     out = capsys.readouterr().out
-    assert code == EXIT_OK
+    assert code == ExitClass.CLEAN.value
     assert "GPL-3.0" in out
     assert "Llama2" in out
     assert "framework=" in out
@@ -347,7 +409,7 @@ def test_kb_env_var_replaces_the_bundled_set(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(KB_ENV_VAR, str(tmp_path))
     code = main(["licenses"])
     out = capsys.readouterr().out
-    assert code == EXIT_OK
+    assert code == ExitClass.CLEAN.value
     assert "Custom-1" in out
     assert "GPL-3.0" not in out
 
@@ -357,7 +419,7 @@ def test_kb_flag_wins_over_the_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(KB_ENV_VAR, str(tmp_path))
     code = main(["licenses", "--kb", str(bundled_rules_dir())])
     out = capsys.readouterr().out
-    assert code == EXIT_OK
+    assert code == ExitClass.CLEAN.value
     assert "GPL-3.0" in out
     assert "Custom-1" not in out
 
@@ -375,7 +437,7 @@ def test_analyze_honors_the_kb_env_var(tmp_path, monkeypatch, capsys):
     )
     assert main(["analyze", str(seed_licensed)]) == EXIT_USAGE
     assert "unknown license 'MG0'" in capsys.readouterr().err
-    assert main(["analyze", str(custom_licensed)]) == EXIT_WARNINGS
+    assert main(["analyze", str(custom_licensed)]) == ExitClass.WARNINGS.value
     assert "subject M" in capsys.readouterr().out
 
 
@@ -394,7 +456,7 @@ def test_a_bad_kb_path_is_a_usage_failure(tmp_path, capsys):
 def test_explain_covers_every_report_code(code_text, capsys):
     code = main(["explain", code_text])
     out = capsys.readouterr().out
-    assert code == EXIT_OK
+    assert code == ExitClass.CLEAN.value
     assert code_text in out
 
 
@@ -427,5 +489,5 @@ def test_unknown_subcommand_is_a_usage_failure(capsys):
 
 
 def test_help_exits_cleanly(capsys):
-    assert main(["--help"]) == EXIT_OK
+    assert main(["--help"]) == ExitClass.CLEAN.value
     assert "analyze" in capsys.readouterr().out

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import time
+
 import pytest
 
 from licflow import (
@@ -18,6 +21,7 @@ from licflow import (
     UnknownWork,
     WorkForm,
     WorkType,
+    WorkflowGraph,
     add_action,
     add_work,
     generalize_output_typing,
@@ -25,7 +29,7 @@ from licflow import (
     validate_graph,
 )
 
-from _helpers import action, graph_of, inputs_of, publish, work
+from _helpers import action, copy_chain, graph_of, inputs_of, publish, work
 
 
 def _two_work_graph():
@@ -115,6 +119,40 @@ def test_longer_cycle_rejected():
     add_action(graph, action("two", ActionKind.MODIFY, ["B"], "C"))
     with pytest.raises(CycleIntroduced):
         add_action(graph, action("back", ActionKind.MODIFY, ["C"], "A"))
+
+
+def test_a_cycle_three_steps_downstream_is_caught_with_its_input_named():
+    graph = graph_of(
+        [work("A", license="MIT"), work("B"), work("C"), work("D")],
+        [
+            action("one", ActionKind.MODIFY, ["A"], "B"),
+            action("two", ActionKind.MODIFY, ["B"], "C"),
+            action("three", ActionKind.MODIFY, ["C"], "D"),
+        ],
+    )
+    message = "action 'back': output 'A' already feeds input 'D'"
+    with pytest.raises(CycleIntroduced, match=re.escape(message)):
+        add_action(graph, action("back", ActionKind.MODIFY, ["D"], "A"))
+
+
+def test_a_graph_built_from_its_actions_keeps_checking_new_ones():
+    built = _two_work_graph()
+    graph = WorkflowGraph(
+        works=built.works, actions={"one": action("one", ActionKind.COPY, ["A"], "B")}
+    )
+    with pytest.raises(DoubleProducer):
+        add_action(graph, action("two", ActionKind.MODIFY, ["A"], "B"))
+    with pytest.raises(CycleIntroduced, match="already feeds input 'B'"):
+        add_action(graph, action("back", ActionKind.MODIFY, ["B"], "A"))
+
+
+def test_a_long_chain_written_in_file_order_builds_in_linear_time():
+    # Each action's output has no consumers yet, so its cycle check is O(1);
+    # a check that walks the graph per action takes seconds here.
+    start = time.perf_counter()
+    graph = copy_chain(2000, "MIT")
+    assert time.perf_counter() - start < 0.5
+    assert len(graph.actions) == 2000
 
 
 # ---------------------------------------------------------------------------
