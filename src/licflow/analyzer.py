@@ -8,9 +8,11 @@ base, and target.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .kb import (
     KnowledgeBase,
@@ -25,7 +27,6 @@ from .kb import (
 )
 from .model import (
     ActionKind,
-    ActionNode,
     EdgeKind,
     PublishManner,
     WorkflowGraph,
@@ -41,7 +42,7 @@ from .reasoner import (
     rulings_by_work,
     settle_license,
 )
-from .reports import Report, ReportCode, Severity, make_report, sort_reports
+from .reports import Report, ReportCode, render
 
 
 class NotPublished(ValueError):
@@ -81,6 +82,8 @@ _USE_RESTRICTION_CODES = {
     Restriction.USE_BEHAVIOR: ReportCode.W7,
     Restriction.RUNTIME_CONTROL: ReportCode.W8,
 }
+_FREEDOM = {Restriction.GNU_FREEDOM: ReportCode.E7, Restriction.CC_FREEDOM: ReportCode.E8}
+_REVOCABLE = {Revocability.YES: ReportCode.W2, Revocability.UNSTATED: ReportCode.W3}
 
 _DERIVING_KINDS = {
     ActionKind.MODIFY,
@@ -108,11 +111,31 @@ def published_targets(graph: WorkflowGraph) -> list[str]:
     )
 
 
+# (code.rank, subject, code, content) of a (code, subject) pair, one tuple per
+# pair and index: tuples sort in report order, and equal findings are one object.
+Finding = tuple[tuple[int, int], str, ReportCode, str]
+
+
+def _settled(compute: Callable[..., Any]) -> Callable[..., Any]:
+    """Settle `compute(index, *key)` on first use and keep it for later targets."""
+
+    @functools.wraps(compute)
+    def lookup(index: AnalysisIndex, *key: object) -> Any:
+        try:
+            return index._memo[(compute, *key)]
+        except KeyError:
+            value = index._memo[(compute, *key)] = compute(index, *key)
+            return value
+
+    return lookup
+
+
 class AnalysisIndex:
     """Whole-graph facts of one reasoned graph, grouped once for every target.
 
-    A work's license profiles, conflict and rights verdicts depend on the
-    work alone, so each is settled on first use and kept for later targets.
+    What the checks find for a work does not depend on the target whose
+    closure holds it, so each work's findings are settled on first use and
+    kept for later targets. Only E9 is decided per target.
     """
 
     def __init__(self, graph: WorkflowGraph, kb: KnowledgeBase) -> None:
@@ -123,52 +146,172 @@ class AnalysisIndex:
         self.rulings = rulings_by_work(graph)
         # Requests by the output of the action that makes them.
         self.requests: dict[str, list[RequestRecord]] = {}
-        for record in graph.requests:
-            output = graph.actions[record.action].output
-            self.requests.setdefault(output, []).append(record)
-        self._profiles: dict[str, list[LicenseProfile]] = {}
-        self._conflicts: dict[str, Optional[DeferredConflict]] = {}
-        self._rights: dict[str, list[tuple[ReportCode, str]]] = {}
+        for request in graph.requests:
+            output = graph.actions[request.action].output
+            self.requests.setdefault(output, []).append(request)
+        self._memo: dict[tuple, Any] = {}
+        # (ruling, rule) of each ruling whose rule is known, by work; and per
+        # work under a Llama-exclusive ruling, each deriving output that
+        # consumes it under another license, once per such ruling.
+        self.ruled: dict[str, list[tuple[RulingRecord, Rule]]] = {}
+        self.llama_uses: dict[str, list[str]] = {}
+        for record in graph.rulings:
+            rule = kb.rules.get(record.rule)
+            if rule is None:
+                continue
+            self.ruled.setdefault(record.work, []).append((record, rule))
+            if Restriction.LLAMA_EXCLUSIVE in rule.use_restrictions:
+                self.llama_uses.setdefault(record.work, []).extend(
+                    out
+                    for out in graph.consumers.get(record.work, ())
+                    if graph.producers[out].kind in _DERIVING_KINDS
+                    and graph.works[out].license != rule.license
+                )
 
+    @_settled
+    def finding(self, code: ReportCode, subject: str) -> Finding:
+        """The one tuple of a (code, subject) pair, its wording rendered once."""
+        return (code.rank, subject, code, render(code, self.graph.works[subject].name))
+
+    def _about(self, subject: str, codes: Iterable) -> list[Finding]:
+        """The findings of each code about one subject; a None code finds nothing."""
+        return [self.finding(code, subject) for code in codes if code is not None]
+
+    @_settled
     def profiles(self, work_id: str) -> list[LicenseProfile]:
         """Known profiles of the licenses that speak for a work."""
-        if work_id not in self._profiles:
-            work, kb = self.graph.works[work_id], self.kb
-            rulings = self.rulings.get(work_id, [])
-            self._profiles[work_id] = [
-                kb.licenses[lic]
-                for lic in members_of(work, work.license, rulings, kb)
-                if lic in kb.licenses
-            ]
-        return self._profiles[work_id]
+        work, kb = self.graph.works[work_id], self.kb
+        rulings = self.rulings.get(work_id, [])
+        members = members_of(work, work.license, rulings, kb)
+        return [kb.licenses[lic] for lic in members if lic in kb.licenses]
 
+    @_settled
     def conflict(self, work_id: str) -> Optional[DeferredConflict]:
-        if work_id not in self._conflicts:
-            self._conflicts[work_id] = settle_license(
-                self.graph.works[work_id],
-                self.graph.producers.get(work_id),
-                self.rulings.get(work_id, []),
-                self.kb,
-            )[1]
-        return self._conflicts[work_id]
+        graph, rulings = self.graph, self.rulings.get(work_id, [])
+        work, producer = graph.works[work_id], graph.producers.get(work_id)
+        return settle_license(work, producer, rulings, self.kb)[1]
 
-    def rights(self, work_id: str) -> list[tuple[ReportCode, str]]:
-        """(code, subject) of E2/E4 and W4 for the requests that make the work."""
-        if work_id not in self._rights:
-            found = []
-            for record in self.requests.get(work_id, ()):
-                requirements = {
-                    usage_requirement(self.kb, profile.id, record.usage)
-                    for profile in self.profiles(record.target_work)
-                }
-                if Requirement.RESERVED in requirements:
-                    sublicense = record.usage is Usage.SUBLICENSE
-                    code = ReportCode.E4 if sublicense else ReportCode.E2
-                    found.append((code, record.target_work))
-                if Requirement.NOT_STATED in requirements:
-                    found.append((ReportCode.W4, record.target_work))
-            self._rights[work_id] = found
-        return self._rights[work_id]
+    @_settled
+    def nonstandard(self, work_id: str) -> list[Finding]:
+        """W1 when the work sits under a license not meant for its material type."""
+        work_type = self.graph.works[work_id].work_type
+        misfit = any(
+            profile.framework is not LicenseFramework.PUBLIC_DOMAIN_LIKE
+            and work_type not in profile.intended_types
+            for profile in self.profiles(work_id)
+        )
+        return self._about(work_id, [ReportCode.W1] if misfit else [])
+
+    @_settled
+    def revocability(self, work_id: str) -> list[Finding]:
+        """W2 under a revocable license, W3 where revocability is unstated."""
+        stances = {profile.revocable for profile in self.profiles(work_id)}
+        return self._about(work_id, map(_REVOCABLE.get, stances))
+
+    @_settled
+    def rights(self, work_id: str) -> list[Finding]:
+        """E2/E4 and W4 for the requests of the action that makes the work."""
+        return [
+            finding
+            for record in self.requests.get(work_id, ())
+            for finding in self._answers(record.target_work, record.usage)
+        ]
+
+    @_settled
+    def _answers(self, work_id: str, usage: Usage) -> list[Finding]:
+        """E2/E4 if a license of the work reserves the usage, W4 if one omits it."""
+        requirements = {
+            usage_requirement(self.kb, profile.id, usage)
+            for profile in self.profiles(work_id)
+        }
+        codes = []
+        if Requirement.RESERVED in requirements:
+            codes.append(ReportCode.E4 if usage is Usage.SUBLICENSE else ReportCode.E2)
+        if Requirement.NOT_STATED in requirements:
+            codes.append(ReportCode.W4)
+        return self._about(work_id, codes)
+
+    @_settled
+    def publish(self, work_id: str, manner: PublishManner) -> list[Finding]:
+        """Notices, warnings and errors the work's rulings carry into a release.
+
+        Restrictions conditioned on publication stay silent for internal
+        releases; restrictions on use apply regardless.
+        """
+        sharing = manner in (PublishManner.SHARE, PublishManner.SELL)
+        found = []
+        for record, rule in self.ruled.get(work_id, ()):
+            codes = [_USE_RESTRICTION_CODES.get(r) for r in rule.use_restrictions]
+            if manner is not PublishManner.INTERNAL:
+                codes += map(_PUBLISH_RESTRICTION_CODES.get, rule.publish_restrictions)
+            if (
+                Restriction.NON_COMMERCIAL_OUTPUT in rule.use_restrictions
+                and manner is PublishManner.SELL
+            ):
+                codes.append(ReportCode.E5)
+            if sharing and not rule.allow_sharing:
+                codes.append(ReportCode.E3)
+            found += self._about(record.relied_work, codes)
+        return found
+
+    @_settled
+    def freedom(self, work_id: str) -> list[Finding]:
+        """E7/E8 for the work's rulings, raised when the target adds exclusive terms."""
+        found = []
+        for record, rule in self.ruled.get(work_id, ()):
+            codes = map(_FREEDOM.get, rule.publish_restrictions)
+            found += self._about(record.relied_work, codes)
+        return found
+
+    @_settled
+    def exclusive(self, work_id: str) -> bool:
+        """Whether the work's licensing adds exclusive terms of its own."""
+        return any(
+            profile.framework is not LicenseFramework.PUBLIC_DOMAIN_LIKE
+            and (
+                Usage.COMMERCIAL in profile.reserved
+                or any(rule.use_restrictions for rule in profile.rules)
+            )
+            for profile in self.profiles(work_id)
+        )
+
+    def _relicense_forbidden(self, work_id: str, new_license: str) -> bool:
+        """Whether the terms the work answers to forbid registering `new_license`."""
+        kb, rulings = self.kb, self.rulings.get(work_id, ())
+        none_allowed, compat_only = relicense_constraints(rulings, kb)
+        if none_allowed - {new_license}:
+            return True
+        if any(
+            new_license not in kb.licenses[license_id].compatible_with
+            for license_id in compat_only
+            if license_id in kb.licenses
+        ):
+            return True
+        return any(Usage.RELICENSE in p.reserved for p in self.profiles(work_id))
+
+    @_settled
+    def conflicts(self, work_id: str) -> list[Finding]:
+        """E6 for a forbidden registration making the work, E10 for its conflict
+        and for each exclusive-terms ruling whose license it is not under."""
+        work, producer = self.graph.works[work_id], self.graph.producers.get(work_id)
+        codes = [
+            ReportCode.E10
+            for _, rule in self.ruled.get(work_id, ())
+            if Restriction.EXCLUSIVE_TERMS in rule.publish_restrictions
+            and work.license != rule.license
+        ]
+        if self.conflict(work_id) is not None:
+            codes.append(ReportCode.E10)
+        if (
+            producer is not None
+            and producer.kind is ActionKind.REGISTER_LICENSE
+            and producer.license_to_register is not None
+            and self._relicense_forbidden(
+                producer.inputs[0].work, producer.license_to_register
+            )
+        ):
+            codes.append(ReportCode.E6)
+        return self._about(work_id, codes)
 
 
 @dataclass
@@ -180,8 +323,6 @@ class _Facts:
     manner: PublishManner
     full: set[str]
     contained: set[str]
-    actions: list[ActionNode]
-    conflicts: list[DeferredConflict]
 
 
 def _facts(index: AnalysisIndex, published: str) -> _Facts:
@@ -195,181 +336,50 @@ def _facts(index: AnalysisIndex, published: str) -> _Facts:
         or publisher.publish_manner is None
     ):
         raise NotPublished(f"work '{published}' is not the output of a publish action")
-    full = closure(published, index.full_parents)
-    settled = (index.conflict(wid) for wid in sorted(full))
     return _Facts(
         index=index,
         target=published,
         manner=publisher.publish_manner,
-        full=full,
+        full=closure(published, index.full_parents),
         contained=closure(published, index.ms_parents),
-        actions=[graph.producers[wid] for wid in full if wid in graph.producers],
-        conflicts=[conflict for conflict in settled if conflict is not None],
     )
 
 
-def _report(facts: _Facts, code: ReportCode, subject: str) -> Report:
-    name = facts.index.graph.works[subject].name
-    return make_report(code, subject, name, facts.target)
-
-
-def _scoped_rulings(
-    facts: _Facts, scope: set[str]
-) -> Iterator[tuple[RulingRecord, Rule]]:
-    """(ruling, rule) for every ruling on a work in scope whose rule is known."""
-    for wid in scope:
-        for record in facts.index.rulings.get(wid, ()):
-            rule = facts.index.kb.rules.get(record.rule)
-            if rule is not None:
-                yield record, rule
-
-
-def check_nonstandard_licensing(facts: _Facts) -> list[Report]:
+def check_nonstandard_licensing(facts: _Facts) -> list[Finding]:
     """W1 when a work sits under a license not meant for its material type."""
-    reports = []
-    for wid in facts.full:
-        work_type = facts.index.graph.works[wid].work_type
-        if any(
-            profile.framework is not LicenseFramework.PUBLIC_DOMAIN_LIKE
-            and work_type not in profile.intended_types
-            for profile in facts.index.profiles(wid)
-        ):
-            reports.append(_report(facts, ReportCode.W1, wid))
-    return reports
+    return [f for wid in facts.full for f in facts.index.nonstandard(wid)]
 
 
-def check_revocability(facts: _Facts) -> list[Report]:
+def check_revocability(facts: _Facts) -> list[Finding]:
     """W2 under revocable licenses, W3 where revocability is unstated."""
-    reports = []
-    for wid in facts.full:
-        stances = {profile.revocable for profile in facts.index.profiles(wid)}
-        if Revocability.YES in stances:
-            reports.append(_report(facts, ReportCode.W2, wid))
-        if Revocability.UNSTATED in stances:
-            reports.append(_report(facts, ReportCode.W3, wid))
-    return reports
+    return [f for wid in facts.full for f in facts.index.revocability(wid)]
 
 
-def _rights_reports(facts: _Facts) -> list[Report]:
-    """E2/E4 for reserved rights, W4 for rights the license never mentions."""
-    return [
-        _report(facts, code, subject)
-        for wid in facts.full
-        for code, subject in facts.index.rights(wid)
-    ]
+def check_publish_restrictions(facts: _Facts) -> list[Finding]:
+    """Notices and warnings carried by the rulings behind a publication."""
+    index, manner = facts.index, facts.manner
+    return [f for wid in facts.contained for f in index.publish(wid, manner)]
 
 
-def check_publish_restrictions(facts: _Facts) -> list[Report]:
-    """Notices and warnings carried by the rulings behind a publication.
-
-    Restrictions conditioned on publication stay silent for internal
-    releases; restrictions on use apply regardless.
-    """
-    manner = facts.manner
-    reports = []
-    for record, rule in _scoped_rulings(facts, facts.contained):
-        subject = record.relied_work
-        if manner is not PublishManner.INTERNAL:
-            for restriction in rule.publish_restrictions:
-                code = _PUBLISH_RESTRICTION_CODES.get(restriction)
-                if code is not None:
-                    reports.append(_report(facts, code, subject))
-        for restriction in rule.use_restrictions:
-            code = _USE_RESTRICTION_CODES.get(restriction)
-            if code is not None:
-                reports.append(_report(facts, code, subject))
-            elif (
-                restriction is Restriction.NON_COMMERCIAL_OUTPUT
-                and manner is PublishManner.SELL
-            ):
-                reports.append(_report(facts, ReportCode.E5, subject))
-        if not rule.allow_sharing and manner in (
-            PublishManner.SHARE,
-            PublishManner.SELL,
-        ):
-            reports.append(_report(facts, ReportCode.E3, subject))
-    return reports
-
-
-def _exclusive_members(facts: _Facts, work_id: str) -> bool:
-    """Whether the work's licensing adds exclusive terms of its own."""
-    return any(
-        profile.framework is not LicenseFramework.PUBLIC_DOMAIN_LIKE
-        and (
-            Usage.COMMERCIAL in profile.reserved
-            or any(rule.use_restrictions for rule in profile.rules)
-        )
-        for profile in facts.index.profiles(work_id)
-    )
-
-
-def _relicense_forbidden(facts: _Facts, work_id: str, new_license: str) -> bool:
-    """Whether the terms the work answers to forbid registering `new_license`."""
-    kb = facts.index.kb
-    none_allowed, compat_only = relicense_constraints(
-        facts.index.rulings.get(work_id, ()), kb
-    )
-    if none_allowed - {new_license}:
-        return True
-    if any(
-        new_license not in kb.licenses[license_id].compatible_with
-        for license_id in compat_only
-        if license_id in kb.licenses
-    ):
-        return True
-    return any(
-        Usage.RELICENSE in profile.reserved for profile in facts.index.profiles(work_id)
-    )
-
-
-def check_conflicts(facts: _Facts) -> list[Report]:
+def check_conflicts(facts: _Facts) -> list[Finding]:
     """Relicensing, exclusivity, and copyleft-collision errors (E6 to E10)."""
-    graph, full = facts.index.graph, facts.full
-    reports = []
-    for action in facts.actions:
-        if (
-            action.kind is ActionKind.REGISTER_LICENSE
-            and action.license_to_register is not None
-            and _relicense_forbidden(
-                facts, action.inputs[0].work, action.license_to_register
-            )
-        ):
-            reports.append(_report(facts, ReportCode.E6, action.output))
-
-    if _exclusive_members(facts, facts.target):
-        for record, rule in _scoped_rulings(facts, facts.contained):
-            if Restriction.GNU_FREEDOM in rule.publish_restrictions:
-                reports.append(_report(facts, ReportCode.E7, record.relied_work))
-            if Restriction.CC_FREEDOM in rule.publish_restrictions:
-                reports.append(_report(facts, ReportCode.E8, record.relied_work))
-
-    for conflict in facts.conflicts:
-        reports.append(_report(facts, ReportCode.E10, conflict.work))
-    for record, rule in _scoped_rulings(facts, full):
-        if Restriction.LLAMA_EXCLUSIVE in rule.use_restrictions:
-            # Each deriving action inside the closure that consumes the work.
-            for output in graph.consumers.get(record.work, ()):
-                if (
-                    output in full
-                    and graph.producers[output].kind in _DERIVING_KINDS
-                    and graph.works[output].license != rule.license
-                ):
-                    reports.append(_report(facts, ReportCode.E9, record.work))
-        if (
-            Restriction.EXCLUSIVE_TERMS in rule.publish_restrictions
-            and graph.works[record.work].license != rule.license
-        ):
-            reports.append(_report(facts, ReportCode.E10, record.work))
-    return reports
+    index, full = facts.index, facts.full
+    found = [f for wid in full for f in index.conflicts(wid)]
+    if index.exclusive(facts.target):
+        found += (f for wid in facts.contained for f in index.freedom(wid))
+    # E9 once per Llama-exclusive ruling and deriving output in the closure.
+    found += (
+        index.finding(ReportCode.E9, wid)
+        for wid in full
+        for output in index.llama_uses.get(wid, ())
+        if output in full
+    )
+    return found
 
 
 def exit_class_of(reports: list[Report]) -> ExitClass:
-    severities = {report.severity for report in reports}
-    if Severity.ERROR in severities:
-        return ExitClass.ERRORS
-    if Severity.WARNING in severities:
-        return ExitClass.WARNINGS
-    return ExitClass.CLEAN
+    # Severity ranks run from errors (0) to notices (2), exit classes back.
+    return ExitClass(2 - min((r.code.rank for r in reports), default=(2, 0))[0])
 
 
 def analyze_publication(
@@ -384,18 +394,19 @@ def analyze_publication(
     verdict; without one, the call builds its own.
     """
     facts = _facts(index or AnalysisIndex(graph, kb), published)
+    findings = check_nonstandard_licensing(facts) + check_revocability(facts)
+    findings += (f for wid in facts.full for f in facts.index.rights(wid))
+    findings += check_publish_restrictions(facts) + check_conflicts(facts)
+    # Equal findings are one tuple and sort next to each other, so each run
+    # of them becomes one Report, repeated.
     reports: list[Report] = []
-    reports.extend(check_nonstandard_licensing(facts))
-    reports.extend(check_revocability(facts))
-    reports.extend(_rights_reports(facts))
-    reports.extend(check_publish_restrictions(facts))
-    reports.extend(check_conflicts(facts))
-    # Reports with equal sort keys are equal, so the order the checks
-    # emit them in never shows.
-    reports = sort_reports(reports)
+    for (_, subject, code, content), run in itertools.groupby(sorted(findings)):
+        reports += [Report(code, subject, published, content)] * len(list(run))
+    settled = (facts.index.conflict(wid) for wid in sorted(facts.full))
     return AnalysisResult(
         target=published,
         reports=reports,
-        deferred_conflicts=facts.conflicts,
-        exit_class=exit_class_of(reports),
+        deferred_conflicts=[conflict for conflict in settled if conflict is not None],
+        # Sorted reports put the worst first.
+        exit_class=exit_class_of(reports[:1]),
     )

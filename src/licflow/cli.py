@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .analyzer import (
     AnalysisIndex,
@@ -29,7 +29,7 @@ from .interchange import InterchangeError, export_dot, parse_workflow
 from .kb import KBError, KnowledgeBase, bundled_rules_dir, load_kb
 from .model import GraphError, WorkflowGraph, validate_graph
 from .reasoner import run_all
-from .reports import Report, parse_code, render, sort_reports
+from .reports import Report, Severity, parse_code, render, sort_reports
 
 # Usage and input failures; results exit with their `ExitClass` value.
 EXIT_USAGE = 3
@@ -87,21 +87,32 @@ def _structured_line(report: Report) -> str:
     )
 
 
+def _human_line(r: Report) -> str:
+    return f"  {r.code.name} ({r.severity.value}) subject {r.subject}: {r.content}"
+
+
+def _print_lines(reports: list[Report], line: Callable[[Report], str]) -> None:
+    """One line per report; the analyzer repeats one object for equal findings."""
+    lines, previous, text = [], None, ""
+    for report in reports:
+        if report is not previous:
+            previous, text = report, line(report)
+        lines.append(text)
+    if lines:
+        print("\n".join(lines))
+
+
 def _print_reports_human(reports: list[Report], heading: Optional[str]) -> None:
     if heading is not None:
         print(heading)
     if not reports:
         print("  no findings")
         return
-    for report in reports:
-        print(
-            f"  {report.code.name} ({report.severity.value}) "
-            f"subject {report.subject}: {report.content}"
-        )
-    errors = sum(1 for r in reports if r.severity.value == "error")
-    warnings = sum(1 for r in reports if r.severity.value == "warning")
-    notices = sum(1 for r in reports if r.severity.value == "notice")
-    print(f"  total: {errors} errors, {warnings} warnings, {notices} notices")
+    _print_lines(reports, _human_line)
+    severities = [report.code.severity for report in reports]
+    order = (Severity.ERROR, Severity.WARNING, Severity.NOTICE)
+    counts = [severities.count(severity) for severity in order]
+    print("  total: {} errors, {} warnings, {} notices".format(*counts))
 
 
 def _unknown_licenses(graph: WorkflowGraph, kb: KnowledgeBase) -> list[str]:
@@ -138,8 +149,7 @@ def cmd_analyze(path: str, config: CliConfig) -> int:
     structural = validate_graph(graph)
     if structural:
         if config.output == "structured":
-            for report in structural:
-                print(_structured_line(report))
+            _print_lines(structural, _structured_line)
         else:
             if config.output == "human":
                 print(DISCLAIMER)
@@ -180,8 +190,7 @@ def cmd_analyze(path: str, config: CliConfig) -> int:
     for result in results:
         worst = max(worst, result.exit_class, key=lambda c: c.value)
         if config.output == "structured":
-            for report in result.reports:
-                print(_structured_line(report))
+            _print_lines(result.reports, _structured_line)
         else:
             _print_reports_human(result.reports, f"published work {result.target}")
     return worst.value
@@ -194,8 +203,7 @@ def cmd_validate(path: str, config: CliConfig) -> int:
         return _fail(str(err))
     reports = validate_graph(graph)
     if config.output == "structured":
-        for report in reports:
-            print(_structured_line(report))
+        _print_lines(reports, _structured_line)
     else:
         print(DISCLAIMER)
         _print_reports_human(reports, f"validation of {path}")

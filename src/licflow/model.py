@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
-from .reports import Report, ReportCode, make_report
+from .reports import Report, ReportCode, render
 
 if TYPE_CHECKING:
     from .reasoner import RequestRecord, RulingRecord
@@ -393,11 +393,8 @@ def generalize_output_typing(
 
 def validate_graph(graph: WorkflowGraph) -> list[Report]:
     """Report every work whose declared type and form cannot go together."""
-    reports = []
-    for work_id in sorted(graph.works):
-        work = graph.works[work_id]
-        if not form_is_valid(work.work_type, work.form):
-            reports.append(
-                make_report(ReportCode.E1, work.id, work.name, work.id)
-            )
-    return reports
+    return [
+        Report(ReportCode.E1, wid, wid, render(ReportCode.E1, work.name))
+        for wid, work in sorted(graph.works.items())
+        if not form_is_valid(work.work_type, work.form)
+    ]

@@ -9,8 +9,7 @@ derives the usage rights each action needs from the works it touches.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .kb import (
@@ -447,14 +446,16 @@ def run_all(
     graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool = True
 ) -> tuple[WorkflowGraph, FixpointStats]:
     """Run every derivation stage on a copy of the graph."""
-    result = copy.deepcopy(graph)
-    result.edges = []
-    result.rulings = []
-    result.requests = []
-    for work in result.works.values():
+    # Derived records and licenses are dropped; the graph maps are rebuilt.
+    works = {wid: replace(work) for wid, work in graph.works.items()}
+    for work in works.values():
         if work.origin is Origin.DERIVED:
-            work.license = None
-            work.origin = Origin.USER_DECLARED
+            work.license, work.origin = None, Origin.USER_DECLARED
+    actions = {
+        aid: replace(act, inputs=list(act.inputs), copublish=set(act.copublish))
+        for aid, act in graph.actions.items()
+    }
+    result = WorkflowGraph(works=works, actions=actions)
     derive_compositional(result)
     iterations = _ruling_fixpoint(result, kb, fuzz)
     determine_licenses(result, kb)

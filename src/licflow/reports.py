@@ -21,6 +21,10 @@ class Severity(Enum):
     ERROR = "error"      # the workflow violates a license term
 
 
+# Severity by a code's first letter, most serious first: the order is the sort rank.
+_SEVERITY_BY_PREFIX = {"E": Severity.ERROR, "W": Severity.WARNING, "N": Severity.NOTICE}
+
+
 class ReportCode(Enum):
     """Stable identifiers for every report the analyzer can emit."""
 
@@ -47,17 +51,12 @@ class ReportCode(Enum):
     E9 = "E9"    # Llama output used outside Llama derivatives
     E10 = "E10"  # prohibited additional terms
 
-    @property
-    def severity(self) -> Severity:
-        if self.value.startswith("N"):
-            return Severity.NOTICE
-        if self.value.startswith("W"):
-            return Severity.WARNING
-        return Severity.ERROR
-
-    @property
-    def number(self) -> int:
-        return int(self.value[1:])
+    def __init__(self, value: str) -> None:
+        # Fixed once per member, so that sorting and exit classes read plain
+        # attributes: rank orders errors, warnings, notices, then number.
+        self.severity = _SEVERITY_BY_PREFIX[value[0]]
+        self.number = int(value[1:])
+        self.rank = (list(_SEVERITY_BY_PREFIX).index(value[0]), self.number)
 
 
 TEMPLATES: dict[ReportCode, str] = {
@@ -105,25 +104,9 @@ def render(code: ReportCode, subject_name: str) -> str:
     return TEMPLATES[code].format(work=subject_name)
 
 
-def make_report(code: ReportCode, subject: str, subject_name: str, target: str) -> Report:
-    return Report(code=code, subject=subject, target=target, content=render(code, subject_name))
-
-
-_SEVERITY_RANK = {Severity.ERROR: 0, Severity.WARNING: 1, Severity.NOTICE: 2}
-
-
-def sort_key(report: Report) -> tuple:
-    return (
-        _SEVERITY_RANK[report.severity],
-        report.code.number,
-        report.subject,
-        report.target,
-    )
-
-
 def sort_reports(reports: list[Report]) -> list[Report]:
     """Deterministic presentation order: errors, warnings, notices; then code and subject."""
-    return sorted(reports, key=sort_key)
+    return sorted(reports, key=lambda r: (r.code.rank, r.subject, r.target))
 
 
 def parse_code(text: str) -> ReportCode:

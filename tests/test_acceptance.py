@@ -27,6 +27,7 @@ from licflow import (
     run_all,
     serialize_graph,
 )
+from licflow.analyzer import AnalysisIndex
 
 from _helpers import kb_of, profile, report_multiset
 from graphgen import random_graph
@@ -209,14 +210,20 @@ def test_analyzer_agrees_with_the_naive_oracle(seed_kb, setting_paths):
     # that reason_and_analyze also checks against the oracle raise those.
     graphs += [random_graph(seed, max_works=6 + seed % 8) for seed in range(400)]
     checked = 0
-    for index, graph in enumerate(graphs):
+    for number, graph in enumerate(graphs):
         reasoned, _ = run_all(graph, seed_kb, fuzz=True)
-        for target in published_targets(reasoned):
-            result = analyze_publication(reasoned, seed_kb, target)
-            expected = Counter(naive_reports(reasoned, seed_kb, target))
-            assert report_multiset(result.reports) == expected, (index, target)
-            checked += 1
-    assert checked >= 400
+        targets = published_targets(reasoned)
+        expected = {t: Counter(naive_reports(reasoned, seed_kb, t)) for t in targets}
+        # One index serves every target, as in the CLI; the reverse order
+        # catches findings that an earlier target settled wrongly.
+        for order in (targets, targets[::-1]):
+            index = AnalysisIndex(reasoned, seed_kb)
+            for target in order:
+                result = analyze_publication(reasoned, seed_kb, target, index)
+                got = report_multiset(result.reports)
+                assert got == expected[target], (number, target, order)
+                checked += 1
+    assert checked >= 800
 
 
 def test_reasoned_output_is_deterministic_and_round_trips(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from licflow import (
@@ -35,9 +37,11 @@ from _helpers import (
     profile,
     publish,
     reason_and_analyze,
+    report_multiset,
     rule,
     work,
 )
+from oracleutil import naive_reports
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +358,64 @@ def test_published_generated_output_keeps_use_terms_only(seed_kb):
     assert counts[("W7", "L")] == 1
     assert counts[("W2", "L")] == 1
     assert code_multiset(result.reports)["N1"] == 0
+
+
+def test_one_index_answers_each_manner_of_the_same_work():
+    # One derived work released three ways: the index must not hand the
+    # findings of one manner to another, whichever release comes first.
+    kb = kb_of(
+        profile(
+            "L",
+            rules=[
+                rule(
+                    "L-r",
+                    "L",
+                    [ActionKind.MODIFY],
+                    publish_restrictions=[
+                        Restriction.INCLUDE_LICENSE,
+                        Restriction.INCLUDE_NOTICE,
+                        Restriction.STATE_CHANGES,
+                        Restriction.IMPACT_REPORT,
+                        Restriction.DISCLOSE_SELF,
+                        Restriction.DISCLOSE_UNMODIFIED,
+                    ],
+                    use_restrictions=[
+                        Restriction.USE_BEHAVIOR,
+                        Restriction.NON_COMMERCIAL_OUTPUT,
+                    ],
+                    allow_sharing=False,
+                )
+            ],
+        )
+    )
+    graph = graph_of(
+        [work("A", license="L"), work("B"),
+         work("PI"), work("PS"), work("PL")],
+        [
+            action("tune", ActionKind.MODIFY, ["A"], "B"),
+            publish("internal", "B", "PI", PublishManner.INTERNAL),
+            publish("share", "B", "PS", PublishManner.SHARE),
+            publish("sell", "B", "PL", PublishManner.SELL),
+        ],
+    )
+    reasoned, _ = run_all(graph, kb)
+    targets = published_targets(reasoned)
+    assert targets == ["PI", "PL", "PS"]
+    for order in (targets, targets[::-1]):
+        index = analyzer.AnalysisIndex(reasoned, kb)
+        codes = {}
+        for target in order:
+            result = analyze_publication(reasoned, kb, target, index)
+            assert report_multiset(result.reports) == Counter(
+                naive_reports(reasoned, kb, target)
+            ), (order, target)
+            codes[target] = code_multiset(result.reports)
+        silent = ("N1", "N2", "N3", "N4", "W5", "W6")
+        assert all(codes["PI"][code] == 0 for code in silent), order
+        assert all(codes[t][code] > 0 for t in ("PS", "PL") for code in silent)
+        assert codes["PI"]["W7"] > 0 and codes["PS"]["W7"] > 0
+        assert [codes[t]["E5"] > 0 for t in ("PI", "PS", "PL")] == [False, False, True]
+        assert [codes[t]["E3"] > 0 for t in ("PI", "PS", "PL")] == [False, True, True]
 
 
 # ---------------------------------------------------------------------------

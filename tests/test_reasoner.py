@@ -698,6 +698,18 @@ def test_run_all_leaves_the_input_graph_alone(seed_kb):
     assert stats.iterations >= 1
     assert stats.records_created == len(reasoned.rulings) + len(reasoned.requests)
     assert reasoned.works["B"].license is not None
+    # The result shares no mutable part with its input.
+    for copied in reasoned.works.values():
+        copied.license, copied.name = "MIT", "changed"
+    for act in reasoned.actions.values():
+        act.inputs.append(act.inputs[0])
+        act.copublish.add("A")
+        act.output = "changed"
+    reasoned.producers.clear()
+    reasoned.consumers["A"].append("changed")
+    assert graph == snapshot
+    assert graph.producers["B"] is graph.actions["tune"]
+    assert graph.consumers == {"A": ["B"], "B": ["P"]}
 
 
 def test_run_all_is_idempotent_on_its_own_output(seed_kb):
