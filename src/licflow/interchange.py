@@ -139,30 +139,43 @@ class Document:
     statements: list[tuple[str, str, Object]] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    column: int
-
-
 # A local name; documents are read and written with the same pattern.
 _NAME_RE = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_:-]|\.(?=[A-Za-z0-9_:-]))*")
 
-_TOKEN_RES = [
-    ("IRIREF", re.compile(r"<([^<>\s]*)>")),
-    ("STRING", re.compile(r'"((?:[^"\\\n]|\\.)*)"')),
-    ("PREFIX_KW", re.compile(r"@prefix\b")),
-    ("INTEGER", re.compile(r"[+-]?[0-9]+(?![A-Za-z0-9_:.+-])")),
-    ("NAME", _NAME_RE),
-    ("PUNCT", re.compile(r"[.;,]")),
-]
+# One match per token: skip blanks, line breaks and `#` comments, then
+# the first alternative that matches names the kind. The order matters:
+# INTEGER comes before NAME, which also matches digits, and its lookahead
+# leaves `12ab` to NAME. Any other character is BAD, so every match
+# succeeds and ends where the next one starts.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    r"(?:(?P<IRIREF><[^<>\s]*>)"
+    r'|(?P<STRING>"(?:[^"\\\n]|\\.)*")'
+    r"|(?P<PREFIX_KW>@prefix\b)"
+    r"|(?P<INTEGER>[+-]?[0-9]+(?![A-Za-z0-9_:.+-]))"
+    rf"|(?P<NAME>{_NAME_RE.pattern})"
+    r"|(?P<PUNCT>[.;,])"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<BAD>.))"
+)
+
+# (kind, value, offset into the text); IRIREF and STRING values are
+# their text between the delimiters.
+_Token = tuple[str, str, int]
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r"}
 
 
-def _unescape(raw: str, line: int, column: int) -> str:
+def _syntax_error(message: str, text: str, offset: int) -> WorkflowSyntaxError:
+    """The fault at an offset, placed by 1-based line and character column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    line = text.count("\n", 0, line_start) + 1
+    return WorkflowSyntaxError(message, line, offset - line_start + 1)
+
+
+def _unescape(raw: str, text: str, offset: int) -> str:
+    if "\\" not in raw:
+        return raw
     out = []
     i = 0
     while i < len(raw):
@@ -170,7 +183,7 @@ def _unescape(raw: str, line: int, column: int) -> str:
         if ch == "\\":
             i += 1
             if i >= len(raw) or raw[i] not in _ESCAPES:
-                raise WorkflowSyntaxError("bad string escape", line, column)
+                raise _syntax_error("bad string escape", text, offset)
             out.append(_ESCAPES[raw[i]])
         else:
             out.append(ch)
@@ -189,81 +202,74 @@ def _escape(text: str) -> str:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """Every token of the text, ending with EOF just past its last character."""
     tokens: list[_Token] = []
-    line = 1
-    for raw_line in text.split("\n"):
-        pos = 0
-        while pos < len(raw_line):
-            ch = raw_line[pos]
-            if ch in " \t\r":
-                pos += 1
-                continue
-            if ch == "#":
-                break
-            for kind, pattern in _TOKEN_RES:
-                match = pattern.match(raw_line, pos)
-                if match:
-                    value = match.group(1) if kind in ("IRIREF", "STRING") else match.group(0)
-                    tokens.append(_Token(kind, value, line, pos + 1))
-                    pos = match.end()
-                    break
-            else:
-                raise WorkflowSyntaxError(f"unexpected character {ch!r}", line, pos + 1)
-        line += 1
-    tokens.append(_Token("EOF", "", line, 1))
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        value = match[kind]
+        offset = match.start(kind)
+        if kind == "IRIREF" or kind == "STRING":
+            value = value[1:-1]
+        elif kind == "BAD":
+            raise _syntax_error(f"unexpected character {value!r}", text, offset)
+        tokens.append((kind, value, offset))
+        if kind == "EOF":
+            break
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
+        # Prefixed name -> local name under the prefixes declared so far.
+        self.locals: dict[str, str] = {}
+        self.idents: dict[str, Ident] = {}
 
     def next(self) -> _Token:
         token = self.tokens[self.index]
         self.index += 1
         return token
 
+    def error(self, message: str, offset: int) -> WorkflowSyntaxError:
+        return _syntax_error(message, self.text, offset)
+
     def expect_punct(self, value: str) -> None:
-        token = self.next()
-        if token.kind != "PUNCT" or token.value != value:
-            raise WorkflowSyntaxError(
-                f"expected {value!r}, found {token.value!r}", token.line, token.column
-            )
+        kind, found, offset = self.next()
+        if kind != "PUNCT" or found != value:
+            raise self.error(f"expected {value!r}, found {found!r}", offset)
 
     def parse(self) -> Document:
         doc = Document()
-        while self.peek().kind != "EOF":
-            if self.peek().kind == "PREFIX_KW":
-                self.next()
+        while True:
+            kind = self.tokens[self.index][0]
+            if kind == "EOF":
+                return doc
+            if kind == "PREFIX_KW":
+                self.index += 1
                 self._prefix_decl(doc)
             else:
                 self._triples(doc)
-        return doc
 
     def _prefix_decl(self, doc: Document) -> None:
-        name = self.next()
-        if name.kind != "NAME" or not name.value.endswith(":"):
-            raise WorkflowSyntaxError(
-                "expected prefix name ending in ':'", name.line, name.column
-            )
-        iri = self.next()
-        if iri.kind != "IRIREF":
-            raise WorkflowSyntaxError("expected namespace IRI", iri.line, iri.column)
+        kind, name, offset = self.next()
+        if kind != "NAME" or not name.endswith(":"):
+            raise self.error("expected prefix name ending in ':'", offset)
+        kind, iri, offset = self.next()
+        if kind != "IRIREF":
+            raise self.error("expected namespace IRI", offset)
         self.expect_punct(".")
-        doc.prefixes[name.value[:-1]] = iri.value
+        doc.prefixes[name[:-1]] = iri
+        self.locals.clear()
 
-    def _resolve(self, token: _Token, doc: Document) -> str:
-        if ":" not in token.value:
-            raise WorkflowSyntaxError(
-                f"expected prefixed name, found {token.value!r}",
-                token.line,
-                token.column,
-            )
-        prefix, local = token.value.split(":", 1)
+    def _resolve(self, name: str, offset: int, doc: Document) -> str:
+        local = self.locals.get(name)
+        if local is not None:
+            return local
+        if ":" not in name:
+            raise self.error(f"expected prefixed name, found {name!r}", offset)
+        prefix, local = name.split(":", 1)
         namespace = doc.prefixes.get(prefix)
         if namespace is None:
             raise UnknownTerm(f"undeclared prefix '{prefix}:'")
@@ -273,71 +279,56 @@ class _Parser:
                 f"version <{NAMESPACE}>"
             )
         if not local:
-            raise WorkflowSyntaxError("empty local name", token.line, token.column)
+            raise self.error("empty local name", offset)
+        self.locals[name] = local
         return local
 
     def _triples(self, doc: Document) -> None:
-        subject_token = self.next()
-        if subject_token.kind != "NAME":
-            raise WorkflowSyntaxError(
-                f"expected subject, found {subject_token.value!r}",
-                subject_token.line,
-                subject_token.column,
-            )
-        subject = self._resolve(subject_token, doc)
+        statements = doc.statements
+        kind, value, offset = self.next()
+        if kind != "NAME":
+            raise self.error(f"expected subject, found {value!r}", offset)
+        subject = self._resolve(value, offset, doc)
         while True:
-            verb_token = self.next()
-            if verb_token.kind != "NAME":
-                raise WorkflowSyntaxError(
-                    f"expected predicate, found {verb_token.value!r}",
-                    verb_token.line,
-                    verb_token.column,
-                )
-            if verb_token.value == "a":
+            kind, value, offset = self.next()
+            if kind != "NAME":
+                raise self.error(f"expected predicate, found {value!r}", offset)
+            if value == "a":
                 predicate = "a"
             else:
-                predicate = self._resolve(verb_token, doc)
+                predicate = self._resolve(value, offset, doc)
                 if predicate not in _PREDICATES:
                     raise UnknownTerm(f"unknown predicate 'mg:{predicate}'")
             while True:
-                doc.statements.append(
-                    (subject, predicate, self._object(doc, predicate))
-                )
-                token = self.next()
-                if token.kind != "PUNCT":
-                    raise WorkflowSyntaxError(
-                        f"expected punctuation, found {token.value!r}",
-                        token.line,
-                        token.column,
-                    )
-                if token.value == ",":
-                    continue
-                if token.value == ";":
-                    break
-                if token.value == ".":
+                statements.append((subject, predicate, self._object(doc, predicate)))
+                kind, value, offset = self.next()
+                if kind != "PUNCT":
+                    raise self.error(f"expected punctuation, found {value!r}", offset)
+                if value == ".":
                     return
-                raise WorkflowSyntaxError(
-                    f"unexpected {token.value!r}", token.line, token.column
-                )
+                if value == ";":
+                    break
+                # "," reads another object for the same predicate.
 
     def _object(self, doc: Document, predicate: str) -> Object:
-        token = self.next()
-        if token.kind == "STRING":
-            return _unescape(token.value, token.line, token.column)
-        if token.kind == "INTEGER":
-            return int(token.value)
-        if token.kind == "NAME":
-            if token.value == "true":
+        kind, value, offset = self.next()
+        if kind == "STRING":
+            return _unescape(value, self.text, offset)
+        if kind == "INTEGER":
+            return int(value)
+        if kind == "NAME":
+            if value == "true":
                 return True
-            if token.value == "false":
+            if value == "false":
                 return False
-            local = self._resolve(token, doc)
+            local = self._resolve(value, offset, doc)
             if predicate == "a" and local not in _CLASSES:
                 raise UnknownTerm(f"unknown class 'mg:{local}'")
-            return Ident(local)
-        raise WorkflowSyntaxError(
-            f"expected object, found {token.value!r}", token.line, token.column
-        )
+            ident = self.idents.get(local)
+            if ident is None:
+                ident = self.idents[local] = Ident(local)
+            return ident
+        raise self.error(f"expected object, found {value!r}", offset)
 
 
 def parse_document(text: str) -> Document:

@@ -9,6 +9,7 @@ record.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Optional
 
 from licflow import (
@@ -23,12 +24,61 @@ from licflow import (
     Revocability,
     Usage,
     WorkflowGraph,
+    WorkflowSyntaxError,
     WorkForm,
 )
+from licflow.interchange import _NAME_RE
 
 DEFAULT = "Unlicense"
 
 _IDENTITY = (ActionKind.COPY, ActionKind.PUBLISH)
+
+
+# ---------------------------------------------------------------------------
+# Tokens
+# ---------------------------------------------------------------------------
+
+_TOKEN_RES = [
+    ("IRIREF", re.compile(r"<([^<>\s]*)>")),
+    ("STRING", re.compile(r'"((?:[^"\\\n]|\\.)*)"')),
+    ("PREFIX_KW", re.compile(r"@prefix\b")),
+    ("INTEGER", re.compile(r"[+-]?[0-9]+(?![A-Za-z0-9_:.+-])")),
+    ("NAME", _NAME_RE),
+    ("PUNCT", re.compile(r"[.;,]")),
+]
+
+
+def naive_tokens(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, value, line, column) of every token, one line at a time.
+
+    Each regex is tried in turn at each position and blanks are skipped
+    one character at a time. EOF is placed at column 1 of the line after
+    the last `\\n`-split piece; the engine places it just past the last
+    character instead.
+    """
+    tokens: list[tuple[str, str, int, int]] = []
+    line = 1
+    for raw_line in text.split("\n"):
+        pos = 0
+        while pos < len(raw_line):
+            ch = raw_line[pos]
+            if ch in " \t\r":
+                pos += 1
+                continue
+            if ch == "#":
+                break
+            for kind, pattern in _TOKEN_RES:
+                match = pattern.match(raw_line, pos)
+                if match:
+                    value = match.group(1) if kind in ("IRIREF", "STRING") else match.group(0)
+                    tokens.append((kind, value, line, pos + 1))
+                    pos = match.end()
+                    break
+            else:
+                raise WorkflowSyntaxError(f"unexpected character {ch!r}", line, pos + 1)
+        line += 1
+    tokens.append(("EOF", "", line, 1))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -125,21 +125,48 @@ def test_bad_string_escape_reports_the_string_position():
 
 
 @pytest.mark.parametrize(
-    "text, hint",
+    "text, hint, line, column",
     [
-        (PREFIX + "\nmg:W a mg:Work", "expected punctuation"),
-        ("@prefix mg <urn:licflow:v1#> .", "prefix name"),
-        ('@prefix mg: "not-an-iri" .', "namespace IRI"),
-        (PREFIX + "\n. mg:name", "expected subject"),
-        (PREFIX + "\nW1 a mg:Work .", "prefixed name"),
-        (PREFIX + "\nmg: a mg:Work .", "empty local name"),
-        (PREFIX + '\nmg:W mg:name ; mg:workType "model" .', "expected object"),
-        (PREFIX + "\nmg:W a mg:Work , .", "expected object"),
+        (PREFIX + "\nmg:W a mg:Work", "expected punctuation", 2, 15),
+        ("@prefix mg <urn:licflow:v1#> .", "prefix name", 1, 9),
+        ('@prefix mg: "not-an-iri" .', "namespace IRI", 1, 13),
+        (PREFIX + "\n. mg:name", "expected subject", 2, 1),
+        (PREFIX + "\nW1 a mg:Work .", "prefixed name", 2, 1),
+        (PREFIX + "\nmg: a mg:Work .", "empty local name", 2, 1),
+        (PREFIX + '\nmg:W mg:name ; mg:workType "model" .', "expected object", 2, 14),
+        (PREFIX + "\nmg:W a mg:Work , .", "expected object", 2, 18),
+        # A CR is a blank, so CRLF line endings move no column.
+        (PREFIX + "\r\nmg:W a mg:Work ;\r\n   mg:name ;\r\n", "expected object", 3, 12),
+        # A tab is one character column.
+        (PREFIX + "\nmg:W a mg:Work ;\n\tmg:name\t;", "expected object", 3, 10),
+        (PREFIX + "\nmg:W a mg:Work # no final newline", "found ''", 2, 34),
+        # A name does not end in '.': the '.' ends the statement early.
+        (PREFIX + "\nmg:W. a mg:Work .", "expected predicate, found '.'", 2, 5),
+        # Digits run into a name are one name, not an integer.
+        (PREFIX + "\nmg:W mg:usage 12ab .", "prefixed name, found '12ab'", 2, 15),
     ],
 )
-def test_malformed_documents_are_syntax_errors(text, hint):
-    with pytest.raises(WorkflowSyntaxError, match=hint):
+def test_malformed_documents_are_syntax_errors(text, hint, line, column):
+    with pytest.raises(WorkflowSyntaxError, match=hint) as exc:
         parse_workflow(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value).startswith(f"line {line}, column {column}: ")
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        (PREFIX + "\nmg:A a mg:Work ;\n", 3, 1),
+        (PREFIX + "\nmg:A a mg:Work ;", 2, 17),
+        (PREFIX + "\nmg:A a mg:Work ;\n  ", 3, 3),
+    ],
+)
+def test_an_error_at_end_of_input_points_just_past_the_last_character(
+    text, line, column
+):
+    with pytest.raises(WorkflowSyntaxError, match="expected predicate, found ''") as exc:
+        parse_workflow(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +182,16 @@ def test_undeclared_prefix_is_rejected():
 def test_other_namespace_versions_are_rejected():
     text = "@prefix mg: <urn:licflow:v2#> .\nmg:W a mg:Work ."
     with pytest.raises(UnknownTerm, match="not the supported vocabulary"):
+        parse_workflow(text)
+
+
+def test_a_redeclared_prefix_applies_to_names_after_it():
+    text = doc(
+        WORK_A,
+        "@prefix mg: <urn:licflow:v2#> .",
+        "mg:A mg:hasLicense \"MIT\" .",
+    )
+    with pytest.raises(UnknownTerm, match="<urn:licflow:v2#> is not the supported"):
         parse_workflow(text)
 
 

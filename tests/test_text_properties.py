@@ -2,10 +2,14 @@
 
 Whatever bytes a `.mgw` workflow or a `.mgl` rules file holds, the loaders
 fail only with their own error classes, never with a stray exception. A
-graph written by `serialize_graph` parses back to itself.
+graph written by `serialize_graph` parses back to itself. The one-pass
+workflow lexer agrees with the per-line oracle token for token.
 """
 
 from __future__ import annotations
+
+import random
+from bisect import bisect_right
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,16 +24,18 @@ from licflow import (
     Restriction,
     Revocability,
     Usage,
+    WorkflowSyntaxError,
     WorkForm,
     WorkType,
     load_kb,
     parse_workflow,
     serialize_graph,
 )
-from licflow.interchange import _CLASSES, _NAME_RE, _PREDICATES
+from licflow.interchange import _CLASSES, _NAME_RE, _PREDICATES, _tokenize
 from licflow.kb import _PROFILE_KEYS, _RULE_KEYS
 
 from _helpers import action, graph_of, inputs_of, work
+from oracleutil import naive_tokens
 
 # Bounded, so tier-1 stays fast, and without an example database.
 BOUNDED = settings(max_examples=60, deadline=None, database=None)
@@ -80,8 +86,11 @@ _token_soup = st.lists(
 ).map(lambda tokens: PREFIX + "\n" + " ".join(tokens))
 
 
+_arbitrary_text = st.text() | st.text().map(lambda text: PREFIX + "\n" + text)
+
+
 @BOUNDED
-@given(st.text() | st.text().map(lambda text: PREFIX + "\n" + text))
+@given(_arbitrary_text)
 def test_arbitrary_text_fails_only_with_interchange_errors(text):
     try:
         parse_workflow(text)
@@ -221,3 +230,81 @@ def test_serialized_graphs_parse_back_to_themselves(ids, names, licenses, copubl
         ],
     )
     assert parse_workflow(serialize_graph(graph)) == graph
+
+
+# ---------------------------------------------------------------------------
+# Tokens: the one-pass lexer against the per-line oracle
+# ---------------------------------------------------------------------------
+
+
+def _one_pass_tokens(text: str) -> list[tuple[str, str, int, int]]:
+    line_starts = [0] + [at + 1 for at, ch in enumerate(text) if ch == "\n"]
+    tokens = []
+    for kind, value, offset in _tokenize(text):
+        line = bisect_right(line_starts, offset)
+        tokens.append((kind, value, line, offset - line_starts[line - 1] + 1))
+    return tokens
+
+
+def _lexed(tokenize, text: str):
+    try:
+        return tokenize(text)
+    except WorkflowSyntaxError as err:
+        return (str(err), err.line, err.column)
+
+
+def _assert_lexes_like_the_oracle(text: str) -> bool:
+    """Same tokens at the same lines and columns, or the same error.
+
+    Returns whether the text lexed without error.
+    """
+    expected = _lexed(naive_tokens, text)
+    actual = _lexed(_one_pass_tokens, text)
+    if isinstance(expected, tuple):
+        assert actual == expected
+        return False
+    # The one difference: EOF sits just past the last character, not on
+    # the line after it.
+    lines = text.split("\n")
+    assert expected[-1] == ("EOF", "", len(lines) + 1, 1)
+    assert actual[-1] == ("EOF", "", len(lines), len(lines[-1]) + 1)
+    assert actual[:-1] == expected[:-1]
+    return True
+
+
+@BOUNDED
+@given(_arbitrary_text | _statements | _token_soup | _names)
+def test_the_lexer_agrees_with_the_per_line_oracle(text):
+    _assert_lexes_like_the_oracle(text)
+
+
+_PIECES = list(' \t\r\n#"\\<>.;,:@+-_09aZé') + ["\r\n", "mg:", "@prefix", "12ab", "\\q"]
+
+
+def _mutated(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(text))
+        end = min(len(text), at + rng.randint(1, 8))
+        piece = rng.choice(_PIECES)
+        text = rng.choice(
+            [
+                text[:at] + piece + text[at:],
+                text[:at] + piece + text[end:],
+                text[:at] + text[end:],
+                text[:at],
+            ]
+        )
+    return text
+
+
+def test_the_lexer_agrees_with_the_oracle_on_mutated_fixtures(fixtures_dir):
+    texts = [path.read_text() for path in sorted(fixtures_dir.glob("*.mgw"))]
+    texts += [text.replace("\n", "\r\n") for text in texts]
+    texts += [text.replace("   ", "\t") for text in texts]
+    rng = random.Random(8)
+    lexed = sum(
+        _assert_lexes_like_the_oracle(_mutated(rng, rng.choice(texts)))
+        for _ in range(500)
+    )
+    # Both outcomes must be exercised, or the comparison proves little.
+    assert 100 < lexed < 400
