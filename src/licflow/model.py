@@ -163,7 +163,7 @@ class Work:
     origin: Origin = Origin.USER_DECLARED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionInput:
     work: str
     role: InputRole = InputRole.PRIMARY
@@ -183,7 +183,7 @@ class ActionNode:
     copublish: set[str] = field(default_factory=set)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyEdge:
     """Edge from an ingredient work to the work that contains or uses it."""
 
@@ -346,24 +346,27 @@ def add_action(graph: WorkflowGraph, action: ActionNode) -> None:
 
 
 def toposort_actions(graph: WorkflowGraph) -> list[ActionNode]:
-    """Actions in dependency order, ties broken by action id."""
+    """Actions in dependency order, level by level (Kahn), ties broken by id."""
     producers = graph.producers
-    pending: dict[str, set[str]] = {}
-    for action in graph.actions.values():
-        deps = {
-            producers[inp.work].id for inp in action.inputs if inp.work in producers
-        }
-        pending[action.id] = deps
+    waiting = {
+        aid: len({inp.work for inp in action.inputs if inp.work in producers})
+        for aid, action in graph.actions.items()
+    }
+    level = sorted(aid for aid, count in waiting.items() if not count)
     ordered: list[ActionNode] = []
-    while pending:
-        ready = sorted(aid for aid, deps in pending.items() if not deps)
-        if not ready:
-            raise CycleIntroduced("action graph contains a cycle")
-        for aid in ready:
-            del pending[aid]
-            ordered.append(graph.actions[aid])
-        for deps in pending.values():
-            deps.difference_update(ready)
+    while level:
+        released = []
+        for aid in level:
+            action = graph.actions[aid]
+            ordered.append(action)
+            for output in graph.consumers.get(action.output, ()):
+                consumer = producers[output].id
+                waiting[consumer] -= 1
+                if not waiting[consumer]:
+                    released.append(consumer)
+        level = sorted(released)
+    if len(ordered) < len(graph.actions):
+        raise CycleIntroduced("action graph contains a cycle")
     return ordered
 
 

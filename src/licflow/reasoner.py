@@ -43,7 +43,7 @@ from .model import (
 DEFAULT_LICENSE = "Unlicense"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RulingRecord:
     """One license rule that fired for a work, via one relied-upon input."""
 
@@ -57,7 +57,7 @@ class RulingRecord:
         return f"rul:{self.work}:{self.relied_work}:{self.rule}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestRecord:
     """One usage right an action needs from one work it depends on."""
 
@@ -173,7 +173,10 @@ def _normalized_kind(action: ActionNode) -> ActionKind:
 
 
 def _relied_sources(
-    graph: WorkflowGraph, action: ActionNode, mix_parents: dict[str, list[str]]
+    graph: WorkflowGraph,
+    action: ActionNode,
+    mix_parents: dict[str, list[str]],
+    kinds: dict[str, ActionKind],
 ) -> list[tuple[str, ActionKind]]:
     """Every work this action relies on, with the kind that shaped it.
 
@@ -186,8 +189,7 @@ def _relied_sources(
     copy or publish, in which case the producer's kind replaces it. Each
     (work, kind) state is visited once.
     """
-    first = _normalized_kind(action)
-    stack = [(inp.work, first) for inp in action.inputs]
+    stack = [(inp.work, kinds[action.id]) for inp in action.inputs]
     seen: set[tuple[str, ActionKind]] = set()
     results: list[tuple[str, ActionKind]] = []
     while stack:
@@ -201,7 +203,7 @@ def _relied_sources(
         if _declared_license(graph.works[work_id]) is not None or producer is None:
             continue
         if kind in _IDENTITY_KINDS:
-            kind = _normalized_kind(producer)
+            kind = kinds[producer.id]
         for parent in mix_parents.get(work_id, ()):
             stack.append((parent, kind))
     return results
@@ -320,13 +322,21 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
     retracted, and a work's license and members depend only on its own
     rulings, so each round settles only the works that gained rulings in
     the round before. Matching depends only on the license, the kind and
-    the forms, so each relied work is matched once per license it answers to.
+    the forms, so each relied work is matched once per license it answers
+    to and per (kind, output form) of the actions relying on it.
     """
     mix_parents = edge_parents(graph, (EdgeKind.MIXWORK,))
-    relied_by: dict[str, list[tuple[ActionNode, ActionKind]]] = {}
+    kinds = {aid: _normalized_kind(action) for aid, action in graph.actions.items()}
+    # Per relied work: its distinct (kind, output form) groups, and the
+    # output and group index of each action relying on it, in action order.
+    relied_by: dict[str, tuple[list, list[tuple[str, int]]]] = {}
     for action in toposort_actions(graph):
-        for source, kind in _relied_sources(graph, action, mix_parents):
-            relied_by.setdefault(source, []).append((action, kind))
+        out_form = graph.works[action.output].form
+        for source, kind in _relied_sources(graph, action, mix_parents, kinds):
+            groups, outputs = relied_by.setdefault(source, ([], []))
+            if (kind, out_form) not in groups:
+                groups.append((kind, out_form))
+            outputs.append((action.output, groups.index((kind, out_form))))
     by_work = rulings_by_work(graph)
     known = {(r.work, r.relied_work, r.rule) for r in graph.rulings}
     matched: dict[str, set[str]] = {source: set() for source in relied_by}
@@ -343,22 +353,19 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
             members = members_of(work, settled, rulings, kb)
             unmatched = members.intersection(kb.licenses) - matched[source]
             matched[source] |= unmatched
+            groups, outputs = relied_by[source]
             for license_id in sorted(unmatched):
-                for action, kind in relied_by[source]:
-                    out_form = graph.works[action.output].form
-                    for rule in match_rules(
-                        kb, license_id, kind, work.form, out_form, fuzz
-                    ):
-                        key = (action.output, source, rule.id)
+                hits = [
+                    match_rules(kb, license_id, kind, work.form, out_form, fuzz)
+                    for kind, out_form in groups
+                ]
+                for output, group in outputs:
+                    for rule in hits[group]:
+                        key = (output, source, rule.id)
                         if key not in known:
                             known.add(key)
                             fresh.append(
-                                RulingRecord(
-                                    work=action.output,
-                                    relied_work=source,
-                                    rule=rule.id,
-                                    output_def=rule.output_def,
-                                )
+                                RulingRecord(output, source, rule.id, rule.output_def)
                             )
         if not fresh:
             return iterations
@@ -398,48 +405,34 @@ def derive_requests(graph: WorkflowGraph, kb: KnowledgeBase) -> WorkflowGraph:
     """Derive the usage rights each action needs, licenses already settled."""
     mix_parents = edge_parents(graph, (EdgeKind.MIXWORK,))
     by_work = rulings_by_work(graph)
-    members = {
-        wid: members_of(work, work.license, by_work.get(wid, []), kb)
-        for wid, work in graph.works.items()
-    }
+    # Each consumed work's sorted Mixwork closure, and whether every license
+    # speaking for a work waives sublicensing, are settled once per work.
+    closures = {wid: sorted(closure(wid, mix_parents)) for wid in graph.consumers}
+    waived: dict[str, bool] = {}
+    for wid, work in graph.works.items():
+        members = members_of(work, work.license, by_work.get(wid, []), kb)
+        answers = [
+            usage_requirement(kb, license_id, Usage.SUBLICENSE)
+            for license_id in members.intersection(kb.licenses)
+        ]
+        waived[wid] = bool(answers) and all(a is Requirement.WAIVED for a in answers)
+    # Keys made here are distinct, so only requests already held can repeat.
     known = {
         (r.action, r.source_work, r.target_work, r.usage) for r in graph.requests
     }
     for action in toposort_actions(graph):
-        usages = action_usages(action)
-        if not usages:
-            continue
-        for inp in action.inputs:
-            for target in sorted(closure(inp.work, mix_parents)):
-                for usage in sorted(usages, key=lambda u: u.value):
-                    if usage is Usage.SUBLICENSE and _sublicense_waived(
-                        kb, members[target]
-                    ):
+        usages = sorted(action_usages(action), key=lambda u: u.value)
+        for source in dict.fromkeys(inp.work for inp in action.inputs):
+            for target in closures[source]:
+                for usage in usages:
+                    if usage is Usage.SUBLICENSE and waived[target]:
                         continue
-                    key = (action.id, inp.work, target, usage)
-                    if key not in known:
-                        known.add(key)
-                        graph.requests.append(
-                            RequestRecord(
-                                action=action.id,
-                                source_work=inp.work,
-                                target_work=target,
-                                usage=usage,
-                            )
-                        )
+                    if known and (action.id, source, target, usage) in known:
+                        continue
+                    graph.requests.append(
+                        RequestRecord(action.id, source, target, usage)
+                    )
     return graph
-
-
-def _sublicense_waived(kb: KnowledgeBase, members: set[str]) -> bool:
-    """True when every license speaking for a work waives sublicensing."""
-    requirements = [
-        usage_requirement(kb, license_id, Usage.SUBLICENSE)
-        for license_id in members
-        if license_id in kb.licenses
-    ]
-    return bool(requirements) and all(
-        req is Requirement.WAIVED for req in requirements
-    )
 
 
 def run_all(

@@ -14,6 +14,8 @@ from typing import Iterable, Optional
 
 from licflow import (
     ActionKind,
+    ActionNode,
+    CycleIntroduced,
     InputRole,
     KnowledgeBase,
     LicenseFramework,
@@ -84,6 +86,32 @@ def naive_tokens(text: str) -> list[tuple[str, str, int, int]]:
 # ---------------------------------------------------------------------------
 # Structure
 # ---------------------------------------------------------------------------
+
+
+def naive_toposort(graph: WorkflowGraph) -> list[ActionNode]:
+    """Actions in dependency order, ties broken by action id.
+
+    Rescans every pending action once per level, so a chain of n steps
+    costs O(n^2).
+    """
+    producers = graph.producers
+    pending: dict[str, set[str]] = {}
+    for action in graph.actions.values():
+        deps = {
+            producers[inp.work].id for inp in action.inputs if inp.work in producers
+        }
+        pending[action.id] = deps
+    ordered: list[ActionNode] = []
+    while pending:
+        ready = sorted(aid for aid, deps in pending.items() if not deps)
+        if not ready:
+            raise CycleIntroduced("action graph contains a cycle")
+        for aid in ready:
+            del pending[aid]
+            ordered.append(graph.actions[aid])
+        for deps in pending.values():
+            deps.difference_update(ready)
+    return ordered
 
 
 def naive_edge_set(graph: WorkflowGraph) -> set[tuple[str, str, str]]:

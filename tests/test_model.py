@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -25,11 +26,22 @@ from licflow import (
     add_action,
     add_work,
     generalize_output_typing,
+    parse_workflow,
     toposort_actions,
     validate_graph,
 )
 
-from _helpers import action, copy_chain, graph_of, inputs_of, publish, work
+from _helpers import (
+    action,
+    copy_chain,
+    diamond_ladder,
+    graph_of,
+    inputs_of,
+    publish,
+    work,
+)
+from graphgen import random_graph
+from oracleutil import naive_toposort
 
 
 def _two_work_graph():
@@ -338,6 +350,49 @@ def test_toposort_orders_actions_by_dependency_then_id():
 
 def test_toposort_of_empty_graph_is_empty():
     assert toposort_actions(graph_of([])) == []
+
+
+def _ids(actions):
+    return [a.id for a in actions]
+
+
+def test_toposort_agrees_with_the_level_by_level_oracle():
+    graphs = [
+        parse_workflow(path.read_text())
+        for path in sorted((Path(__file__).parent / "fixtures").glob("*.mgw"))
+        if path.name != "cyclic.mgw"  # parsing refuses it
+    ]
+    graphs += [random_graph(seed, max_works=13) for seed in range(200)]
+    graphs += [diamond_ladder(rungs) for rungs in (1, 4, 12)]
+    for graph in graphs:
+        assert _ids(toposort_actions(graph)) == _ids(naive_toposort(graph))
+
+
+def test_toposort_of_a_cyclic_graph_raises_like_the_oracle():
+    # Built without add_action, which would refuse the closing action.
+    actions = [
+        action("a", ActionKind.COPY, ["A"], "B"),
+        action("b", ActionKind.COMBINE, ["B", "D"], "C"),
+        action("c", ActionKind.COPY, ["C"], "D"),
+    ]
+    graph = WorkflowGraph(
+        works={w: work(w) for w in "ABCD"}, actions={a.id: a for a in actions}
+    )
+    with pytest.raises(CycleIntroduced) as expected:
+        naive_toposort(graph)
+    with pytest.raises(CycleIntroduced) as raised:
+        toposort_actions(graph)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_a_long_chain_sorts_in_linear_time():
+    # A sort that rescans every pending action per level takes about a
+    # second here.
+    graph = copy_chain(3000, "MIT")
+    start = time.perf_counter()
+    ordered = toposort_actions(graph)
+    assert time.perf_counter() - start < 0.25
+    assert _ids(ordered) == [f"copy{i:04d}" for i in range(1, 3001)]
 
 
 # ---------------------------------------------------------------------------

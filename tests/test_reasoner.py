@@ -4,16 +4,23 @@ from __future__ import annotations
 
 import copy
 import inspect
+import os
+import pickle
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from licflow import (
     DEFAULT_LICENSE,
+    ActionInput,
     ActionKind,
     ArityViolation,
+    DependencyEdge,
     EdgeKind,
+    InputRole,
     Origin,
     OutputDefinition,
     PublishManner,
@@ -609,6 +616,23 @@ def test_requests_reach_through_mixwork_ancestors(seed_kb):
     assert targeted == {"A", "B", "C"}
 
 
+def test_each_request_is_derived_once(seed_kb):
+    graph = graph_of(
+        [work("A", license="MIT"), work("C"), work("P")],
+        [
+            action("mix", ActionKind.COMBINE, ["A", "A"], "C"),
+            publish("pub", "C", "P", PublishManner.SELL),
+        ],
+    )
+    reasoned, _ = run_all(graph, seed_kb)
+    first = list(reasoned.requests)
+    assert len(set(first)) == len(first)
+    assert ("mix", "A", "A", "use") in request_tuples(reasoned)
+    # Requests the graph already holds are not derived again.
+    derive_requests(reasoned, seed_kb)
+    assert reasoned.requests == first
+
+
 def test_auxiliary_ancestors_are_not_asked(seed_kb):
     graph = graph_of(
         [work("A", license="Llama2"),
@@ -763,7 +787,7 @@ def test_deep_copy_chains_reason_without_recursion():
     assert "C0000" in {r.relied_work for r in reasoned.rulings if r.work == "C0250"}
 
 
-def test_the_fixpoint_matches_each_relied_license_once(monkeypatch):
+def _counted_match_rules(monkeypatch):
     original = reasoner.match_rules
     calls = []
 
@@ -772,12 +796,38 @@ def test_the_fixpoint_matches_each_relied_license_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(reasoner, "match_rules", counted)
+    return calls
+
+
+def test_the_fixpoint_matches_each_relied_license_once(monkeypatch):
+    calls = _counted_match_rules(monkeypatch)
     reasoned, stats = run_all(copy_chain(60, license="L1"), _copy_rule_kb())
-    # C(j) is relied on by the 60 - j copies after it, under L1 once:
-    # C0000 in round 1, every other C(j) in round 2 once its ruling lands.
-    assert len(calls) == 60 * 61 // 2
+    # C(j) is relied on by the 60 - j copies after it, all copies to code,
+    # under L1 once: C0000 in round 1, every other C(j) in round 2 once its
+    # ruling lands. One match serves every copy relying on C(j).
+    assert len(calls) == 60
     assert len(reasoned.rulings) == 60 * 61 // 2
     assert stats.iterations == 3
+
+
+def test_the_fixpoint_matches_once_per_output_form(monkeypatch):
+    calls = _counted_match_rules(monkeypatch)
+    graph = graph_of(
+        [
+            work("A", WorkType.SOFTWARE, WorkForm.CODE, license="L1"),
+            work("B", WorkType.SOFTWARE, WorkForm.CODE),
+            work("C", WorkType.SOFTWARE, WorkForm.CODE),
+            work("X", WorkType.SOFTWARE, WorkForm.EXE),
+        ],
+        [
+            action("toB", ActionKind.COPY, ["A"], "B"),
+            action("toC", ActionKind.COPY, ["A"], "C"),
+            action("toX", ActionKind.COPY, ["A"], "X"),
+        ],
+    )
+    run_all(graph, _copy_rule_kb())
+    # A feeds code twice and an executable once: two (kind, output form).
+    assert sorted(call[4].value for call in calls) == ["code", "exe"]
 
 
 def test_diamond_ladders_reason_in_polynomial_time(seed_kb):
@@ -794,6 +844,63 @@ def test_publish_without_a_manner_is_an_arity_violation():
     bare = action("pub", ActionKind.PUBLISH, ["A"], "B")
     with pytest.raises(ArityViolation, match="publish requires a manner"):
         action_usages(bare)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        RulingRecord("B", "A", "r", OutputDefinition.DERIVATIVE),
+        RequestRecord("act", "A", "B", Usage.SUBLICENSE),
+        DependencyEdge(EdgeKind.SUBWORK, "A", "B"),
+        ActionInput("A", InputRole.TRAINING_DATA),
+    ],
+)
+def test_slotted_records_survive_copy_and_pickle(record):
+    assert not hasattr(record, "__dict__")
+    twins = [copy.copy(record), copy.deepcopy(record)]
+    twins += [
+        pickle.loads(pickle.dumps(record, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for twin in twins:
+        assert twin == record
+        assert hash(twin) == hash(record)
+
+
+_ORDER_SCRIPT = """
+import json
+from licflow import bundled_rules_dir, load_kb, run_all
+from _helpers import diamond_ladder
+from graphgen import random_graph
+
+kb = load_kb([bundled_rules_dir()])
+lists = []
+for graph in (random_graph(5, 13), random_graph(39, 13), diamond_ladder(4)):
+    reasoned, _ = run_all(graph, kb)
+    lists += [[r.id for r in reasoned.rulings], [r.id for r in reasoned.requests]]
+print(json.dumps(lists))
+"""
+
+
+def test_derived_record_order_does_not_follow_the_hash_seed():
+    # The CLI sorts what it prints, so only the record lists themselves
+    # show an order that follows set or dict hashing.
+    here = Path(__file__).parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", _ORDER_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert all(outputs[0].count(f'"{kind}:') > 10 for kind in ("rul", "req"))
 
 
 def test_records_are_hashable_values():
