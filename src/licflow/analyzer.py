@@ -34,7 +34,6 @@ from .model import (
     edge_parents,
 )
 from .reasoner import (
-    DeferredConflict,
     RequestRecord,
     RulingRecord,
     members_of,
@@ -61,7 +60,6 @@ class ExitClass(Enum):
 class AnalysisResult:
     target: str
     reports: list[Report]
-    deferred_conflicts: list[DeferredConflict]
     exit_class: ExitClass
 
 
@@ -186,12 +184,6 @@ class AnalysisIndex:
         return [kb.licenses[lic] for lic in members if lic in kb.licenses]
 
     @_settled
-    def conflict(self, work_id: str) -> Optional[DeferredConflict]:
-        graph, rulings = self.graph, self.rulings.get(work_id, [])
-        work, producer = graph.works[work_id], graph.producers.get(work_id)
-        return settle_license(work, producer, rulings, self.kb)[1]
-
-    @_settled
     def nonstandard(self, work_id: str) -> list[Finding]:
         """W1 when the work sits under a license not meant for its material type."""
         work_type = self.graph.works[work_id].work_type
@@ -300,7 +292,8 @@ class AnalysisIndex:
             if Restriction.EXCLUSIVE_TERMS in rule.publish_restrictions
             and work.license != rule.license
         ]
-        if self.conflict(work_id) is not None:
+        rulings = self.rulings.get(work_id, [])
+        if settle_license(work, producer, rulings, self.kb)[1] is not None:
             codes.append(ReportCode.E10)
         if (
             producer is not None
@@ -402,11 +395,9 @@ def analyze_publication(
     reports: list[Report] = []
     for (_, subject, code, content), run in itertools.groupby(sorted(findings)):
         reports += [Report(code, subject, published, content)] * len(list(run))
-    settled = (facts.index.conflict(wid) for wid in sorted(facts.full))
     return AnalysisResult(
         target=published,
         reports=reports,
-        deferred_conflicts=[conflict for conflict in settled if conflict is not None],
         # Sorted reports put the worst first.
         exit_class=exit_class_of(reports[:1]),
     )

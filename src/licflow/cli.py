@@ -13,13 +13,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .analyzer import (
     AnalysisIndex,
-    AnalysisResult,
     ExitClass,
     analyze_publication,
     exit_class_of,
@@ -42,23 +40,8 @@ DISCLAIMER = (
 )
 
 
-@dataclass
-class CliConfig:
-    kb_paths: list[str] = field(default_factory=list)
-    fuzz: bool = True
-    output: str = "human"
-    target: Optional[str] = None
-
-
-def _default_kb_paths() -> list[str]:
-    env = os.environ.get(KB_ENV_VAR)
-    if env:
-        return [env]
-    return [str(bundled_rules_dir())]
-
-
-def _load_kb(config: CliConfig) -> KnowledgeBase:
-    paths = config.kb_paths or _default_kb_paths()
+def _load_kb(args: argparse.Namespace) -> KnowledgeBase:
+    paths = args.kb or [os.environ.get(KB_ENV_VAR) or bundled_rules_dir()]
     return load_kb([Path(p) for p in paths])
 
 
@@ -131,13 +114,13 @@ def _unknown_licenses(graph: WorkflowGraph, kb: KnowledgeBase) -> list[str]:
     return unknown
 
 
-def cmd_analyze(path: str, config: CliConfig) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        kb = _load_kb(config)
+        kb = _load_kb(args)
     except (KBError, OSError) as err:
         return _fail(str(err))
     try:
-        graph = parse_workflow(_read_file(path))
+        graph = parse_workflow(_read_file(args.workflow))
     except (InterchangeError, GraphError, OSError) as err:
         return _fail(str(err))
     # The reasoner skips licenses it does not know, so an unknown id
@@ -148,71 +131,61 @@ def cmd_analyze(path: str, config: CliConfig) -> int:
 
     structural = validate_graph(graph)
     if structural:
-        if config.output == "structured":
+        if args.output == "structured":
             _print_lines(structural, _structured_line)
         else:
-            if config.output == "human":
+            if args.output == "human":
                 print(DISCLAIMER)
             _print_reports_human(structural, "workflow validation failed")
         return ExitClass.ERRORS.value
 
-    reasoned, _stats = run_all(graph, kb, config.fuzz)
+    reasoned, _stats = run_all(graph, kb, args.fuzz == "on")
     targets = published_targets(reasoned)
-    if config.target:
-        if config.target not in targets:
-            return _fail(
-                f"work '{config.target}' is not the output of a publish action"
-            )
-        targets = [config.target]
+    if args.target is not None:
+        if args.target not in targets:
+            return _fail(f"work '{args.target}' is not the output of a publish action")
+        targets = [args.target]
     # Each target is analysed as its output is written, so the reports of
     # every target are never held at once.
     index = AnalysisIndex(reasoned, kb)
-    results: Iterable[AnalysisResult] = (
-        analyze_publication(reasoned, kb, target, index) for target in targets
-    )
+    results = (analyze_publication(reasoned, kb, t, index) for t in targets)
 
-    if config.output == "dot":
-        all_reports = [report for result in results for report in result.reports]
-        merged = AnalysisResult(
-            target=",".join(targets),
-            reports=sort_reports(all_reports),
-            deferred_conflicts=[],
-            exit_class=exit_class_of(all_reports),
-        )
-        print(export_dot(reasoned, merged), end="")
-        return merged.exit_class.value
+    if args.output == "dot":
+        reports = sort_reports([r for result in results for r in result.reports])
+        print(export_dot(reasoned, reports), end="")
+        return exit_class_of(reports).value
 
-    if config.output == "human":
+    if args.output == "human":
         print(DISCLAIMER)
         if not targets:
             print("no published works to analyze")
     worst = ExitClass.CLEAN
     for result in results:
         worst = max(worst, result.exit_class, key=lambda c: c.value)
-        if config.output == "structured":
+        if args.output == "structured":
             _print_lines(result.reports, _structured_line)
         else:
             _print_reports_human(result.reports, f"published work {result.target}")
     return worst.value
 
 
-def cmd_validate(path: str, config: CliConfig) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        graph = parse_workflow(_read_file(path))
+        graph = parse_workflow(_read_file(args.workflow))
     except (InterchangeError, GraphError, OSError) as err:
         return _fail(str(err))
     reports = validate_graph(graph)
-    if config.output == "structured":
+    if args.output == "structured":
         _print_lines(reports, _structured_line)
     else:
         print(DISCLAIMER)
-        _print_reports_human(reports, f"validation of {path}")
+        _print_reports_human(reports, f"validation of {args.workflow}")
     return (ExitClass.ERRORS if reports else ExitClass.CLEAN).value
 
 
-def cmd_licenses(config: CliConfig) -> int:
+def cmd_licenses(args: argparse.Namespace) -> int:
     try:
-        kb = _load_kb(config)
+        kb = _load_kb(args)
     except (KBError, OSError) as err:
         return _fail(str(err))
     print(DISCLAIMER)
@@ -227,9 +200,9 @@ def cmd_licenses(config: CliConfig) -> int:
     return ExitClass.CLEAN.value
 
 
-def cmd_explain(code_text: str) -> int:
+def cmd_explain(args: argparse.Namespace) -> int:
     try:
-        code = parse_code(code_text)
+        code = parse_code(args.code)
     except ValueError as err:
         return _fail(str(err))
     print(DISCLAIMER)
@@ -261,6 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     analyze = sub.add_parser("analyze", help="reason over a workflow and report")
+    analyze.set_defaults(run=cmd_analyze)
     analyze.add_argument("workflow", help="workflow file to analyze")
     add_common(analyze)
     analyze.add_argument(
@@ -271,27 +245,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     validate = sub.add_parser("validate", help="parse and structurally check")
+    validate.set_defaults(run=cmd_validate)
     validate.add_argument("workflow", help="workflow file to validate")
     validate.add_argument(
         "--output", choices=["human", "structured"], default="human"
     )
 
     licenses = sub.add_parser("licenses", help="list the loaded license profiles")
+    licenses.set_defaults(run=cmd_licenses)
     add_common(licenses)
 
     explain = sub.add_parser("explain", help="describe one report code")
+    explain.set_defaults(run=cmd_explain)
     explain.add_argument("code", help="report code, e.g. E2 or W1")
 
     return parser
-
-
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        kb_paths=list(getattr(args, "kb", [])),
-        fuzz=getattr(args, "fuzz", "on") == "on",
-        output=getattr(args, "output", "human"),
-        target=getattr(args, "target", None),
-    )
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -300,14 +268,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else ExitClass.CLEAN.value
-    config = _config_from(args)
-    if args.command == "analyze":
-        return cmd_analyze(args.workflow, config)
-    if args.command == "validate":
-        return cmd_validate(args.workflow, config)
-    if args.command == "licenses":
-        return cmd_licenses(config)
-    return cmd_explain(args.code)
+    try:
+        code = args.run(args)
+        # Written output is buffered; a closed reader must fail here, not at exit.
+        sys.stdout.flush()
+    except BrokenPipeError as err:
+        # Interpreter exit flushes stdout again, so point it where writes succeed.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail(f"cannot write output: {err}")
+    return code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .kb import OutputDefinition, Usage
 from .model import (
@@ -38,6 +38,7 @@ from .model import (
     add_work,
 )
 from .reasoner import RequestRecord, RulingRecord
+from .reports import Report
 
 NAMESPACE = "urn:licflow:v1#"
 PREFIX = "mg"
@@ -613,14 +614,11 @@ _EDGE_STYLES = {
 }
 
 
-def export_dot(graph: WorkflowGraph, result=None) -> str:
-    """Render the graph for visualization, with report codes if given."""
+def export_dot(graph: WorkflowGraph, reports: Iterable[Report] = ()) -> str:
+    """Render the graph for visualization, with the codes of the given reports."""
     codes_by_subject: dict[str, list[str]] = {}
-    if result is not None:
-        for report in result.reports:
-            codes_by_subject.setdefault(report.subject, []).append(
-                f"[{report.code.name}]"
-            )
+    for report in reports:
+        codes_by_subject.setdefault(report.subject, []).append(f"[{report.code.name}]")
 
     lines = ["digraph workflow {"]
     for wid in sorted(graph.works):

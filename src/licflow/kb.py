@@ -7,7 +7,7 @@ license text. Each token is the value of the enum it becomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -149,9 +149,6 @@ class KnowledgeBase:
         except KeyError:
             raise UnknownLicense(f"unknown license {license_id!r}") from None
 
-    def rules_of(self, license_id: str) -> list[Rule]:
-        return self.profile(license_id).rules
-
     def add_license(self, profile: LicenseProfile) -> None:
         if profile.id in self.licenses:
             raise DuplicateLicenseId(f"license {profile.id!r} is declared twice")
@@ -203,7 +200,7 @@ def match_rules(
 ) -> list[Rule]:
     """Rules of one license that fire for an action and its form pair."""
     matched = []
-    for rule in kb.rules_of(license_id):
+    for rule in kb.profile(license_id).rules:
         if rule.fuzz_only and not fuzz:
             continue
         if action not in rule.trigger_actions:
@@ -243,32 +240,17 @@ def are_compatible(
     return min(intersection)
 
 
-_PROFILE_KEYS = {
-    "id",
-    "name",
-    "framework",
-    "intended_types",
-    "copyleft",
-    "permissive",
-    "revocable",
-    "granted",
-    "reserved",
-    "sublicense_waived_by_auto_relicense",
-    "compatible_with",
-}
+def _keys(kind: type, *skip: str) -> tuple[frozenset[str], list[str]]:
+    """The .mgl keys of a dataclass's fields, and those without a default, in order."""
+    kept = [f for f in fields(kind) if f.name not in skip]
+    required = [
+        f.name for f in kept if f.default is MISSING and f.default_factory is MISSING
+    ]
+    return frozenset(f.name for f in kept), required
 
-_RULE_KEYS = {
-    "id",
-    "trigger_actions",
-    "trigger_input_forms",
-    "trigger_output_forms",
-    "output_def",
-    "relicense",
-    "publish_restrictions",
-    "use_restrictions",
-    "allow_sharing",
-    "fuzz_only",
-}
+
+_PROFILE_KEYS, _PROFILE_REQUIRED = _keys(LicenseProfile, "rules", "metadata")
+_RULE_KEYS, _RULE_REQUIRED = _keys(Rule, "license")
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -333,7 +315,7 @@ def _build_profile(path: Path, entries: dict[str, str]) -> LicenseProfile:
     for key in entries:
         if key not in _PROFILE_KEYS and not key.startswith("meta."):
             raise ParseError(f"{where}: unknown key {key!r}")
-    for required in ("id", "name", "framework", "intended_types"):
+    for required in _PROFILE_REQUIRED:
         if required not in entries:
             raise ParseError(f"{where}: missing key {required!r}")
     framework = _member(LicenseFramework, entries["framework"], f"{where} framework")
@@ -395,15 +377,7 @@ def _build_rule(path: Path, entries: dict[str, str], license_id: str) -> Rule:
     for key in entries:
         if key not in _RULE_KEYS:
             raise ParseError(f"{where}: unknown key {key!r}")
-    required = (
-        "id",
-        "trigger_actions",
-        "trigger_input_forms",
-        "trigger_output_forms",
-        "output_def",
-        "relicense",
-    )
-    for key in required:
+    for key in _RULE_REQUIRED:
         if key not in entries:
             raise ParseError(f"{where}: missing key {key!r}")
 

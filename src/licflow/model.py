@@ -50,13 +50,6 @@ class WorkType(Enum):
     MIXED = "mixed"
 
 
-class FormCategory(Enum):
-    RAW = "raw"
-    BINARY = "binary"
-    SERVICE = "service"
-    MIXED = "mixed"
-
-
 class WorkForm(Enum):
     """Concrete distribution forms plus one bare placeholder per category."""
 
@@ -74,13 +67,14 @@ class WorkForm(Enum):
     MIXED = "mixed"
 
     @property
-    def category(self) -> FormCategory:
+    def category(self) -> WorkForm:
+        """The bare form of the category this form belongs to."""
         return _FORM_CATEGORY[self]
 
     @property
     def is_bare(self) -> bool:
         """True for the category placeholders that carry no concrete label."""
-        return self in _BARE_FORMS
+        return self.category is self
 
 
 class Origin(Enum):
@@ -121,28 +115,19 @@ class EdgeKind(Enum):
 
 
 _FORM_CATEGORY = {
-    WorkForm.CODE: FormCategory.RAW,
-    WorkForm.WEIGHTS: FormCategory.RAW,
-    WorkForm.CORPUS: FormCategory.RAW,
-    WorkForm.TEXT: FormCategory.RAW,
-    WorkForm.IMAGE: FormCategory.RAW,
-    WorkForm.EXE: FormCategory.BINARY,
-    WorkForm.SAAS: FormCategory.SERVICE,
-    WorkForm.API: FormCategory.SERVICE,
-    WorkForm.RAW: FormCategory.RAW,
-    WorkForm.BINARY: FormCategory.BINARY,
-    WorkForm.SERVICE: FormCategory.SERVICE,
-    WorkForm.MIXED: FormCategory.MIXED,
+    WorkForm.CODE: WorkForm.RAW,
+    WorkForm.WEIGHTS: WorkForm.RAW,
+    WorkForm.CORPUS: WorkForm.RAW,
+    WorkForm.TEXT: WorkForm.RAW,
+    WorkForm.IMAGE: WorkForm.RAW,
+    WorkForm.EXE: WorkForm.BINARY,
+    WorkForm.SAAS: WorkForm.SERVICE,
+    WorkForm.API: WorkForm.SERVICE,
+    WorkForm.RAW: WorkForm.RAW,
+    WorkForm.BINARY: WorkForm.BINARY,
+    WorkForm.SERVICE: WorkForm.SERVICE,
+    WorkForm.MIXED: WorkForm.MIXED,
 }
-
-_BARE_BY_CATEGORY = {
-    FormCategory.RAW: WorkForm.RAW,
-    FormCategory.BINARY: WorkForm.BINARY,
-    FormCategory.SERVICE: WorkForm.SERVICE,
-    FormCategory.MIXED: WorkForm.MIXED,
-}
-
-_BARE_FORMS = frozenset(_BARE_BY_CATEGORY.values())
 
 # Concrete forms each work type may take. Bare forms are always acceptable
 # because they make no claim about the concrete artifact.
@@ -388,7 +373,7 @@ def generalize_output_typing(
     else:
         categories = {f.category for f in form_set}
         if len(categories) == 1:
-            out_form = _BARE_BY_CATEGORY[categories.pop()]
+            out_form = categories.pop()
         else:
             out_form = WorkForm.MIXED
     return out_type, out_form

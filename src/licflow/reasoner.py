@@ -307,12 +307,6 @@ def rulings_by_work(graph: WorkflowGraph) -> dict[str, list[RulingRecord]]:
     return by_work
 
 
-def work_members(graph: WorkflowGraph, kb: KnowledgeBase, work_id: str) -> set[str]:
-    """Licenses that can speak for one work of a fully reasoned graph."""
-    work = graph.works[work_id]
-    return members_of(work, work.license, rulings_by_work(graph).get(work_id, []), kb)
-
-
 def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int:
     """Accumulate rulings until neither rulings nor licenses move.
 

@@ -21,13 +21,13 @@ from licflow import (
     WorkForm,
     WorkType,
     analyze_publication,
-    are_compatible,
     parse_workflow,
     published_targets,
     run_all,
     serialize_graph,
 )
 from licflow.analyzer import AnalysisIndex
+from licflow.kb import are_compatible
 
 from _helpers import kb_of, profile, report_multiset
 from graphgen import random_graph

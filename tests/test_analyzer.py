@@ -836,6 +836,5 @@ def test_deferred_conflicts_ride_along_with_the_result():
     )
     _, conflicted = reason_and_analyze(graph, kb, "P")
     _, clean = reason_and_analyze(graph, kb, "PQ")
-    assert {c.work for c in conflicted.deferred_conflicts} >= {"C"}
-    assert clean.deferred_conflicts == []
-    assert code_multiset(conflicted.reports)["E10"] >= 1
+    assert ("E10", "C") in {(r.code.name, r.subject) for r in conflicted.reports}
+    assert code_multiset(clean.reports)["E10"] == 0

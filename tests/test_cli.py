@@ -190,6 +190,36 @@ def test_target_must_be_a_published_work(setting_paths, capsys):
     assert "licflow: error:" in err
 
 
+def test_an_empty_target_is_not_a_published_work(setting_paths, capsys):
+    code = main(["analyze", str(setting_paths["i"]), "--target", ""])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == (
+        "licflow: error: work '' is not the output of a publish action\n"
+    )
+
+
+def test_a_closed_stdout_is_one_usage_error_without_a_traceback(setting_paths):
+    env = dict(os.environ, PYTHONPATH=str(Path(licflow.__file__).parents[1]))
+    # Buffered stdout, as a shell pipe gives it, holds the output until exit.
+    for name in (KB_ENV_VAR, "PYTHONUNBUFFERED"):
+        env.pop(name, None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "licflow.cli", "analyze", str(setting_paths["i"]),
+         "--output", "structured"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    # The reader goes away before the first write.
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_USAGE
+    assert "Traceback" not in err
+    assert err.startswith("licflow: error: ")
+    assert err.count("\n") == 1
+
+
 def test_dot_output_renders_the_reasoned_graph(setting_paths, capsys):
     code = main(["analyze", str(setting_paths["i"]), "--output", "dot"])
     out = capsys.readouterr().out

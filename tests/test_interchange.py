@@ -18,12 +18,11 @@ from licflow import (
     WorkForm,
     WorkType,
     export_dot,
-    parse_document,
     parse_workflow,
     run_all,
     serialize_graph,
 )
-from licflow.interchange import Ident
+from licflow.interchange import Ident, parse_document
 
 from _helpers import (
     action,
@@ -484,7 +483,7 @@ def test_dot_attaches_report_codes_to_their_subjects(seed_kb):
         [publish("pub", "A", "P")],
     )
     reasoned, result = reason_and_analyze(graph, seed_kb, "P")
-    dot = export_dot(reasoned, result)
+    dot = export_dot(reasoned, result.reports)
     node_a = next(line for line in dot.split("\n") if line.startswith('  "A" ['))
     node_p = next(line for line in dot.split("\n") if line.startswith('  "P" ['))
     assert "[W1]" in node_a

@@ -18,8 +18,12 @@ from licflow import (
     UnknownLicense,
     Usage,
     WorkForm,
-    are_compatible,
     load_kb,
+)
+from licflow.kb import (
+    _PROFILE_KEYS,
+    _RULE_KEYS,
+    are_compatible,
     match_rules,
     usage_requirement,
 )
@@ -173,6 +177,60 @@ def test_malformed_profile_is_rejected(tmp_path, mutation):
 def test_malformed_rule_is_rejected(tmp_path, mutation):
     with pytest.raises(ParseError):
         _load_single(tmp_path, MINIMAL_PROFILE + mutation)
+
+
+def _without(text: str, key: str) -> str:
+    lines = text.splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(f"{key} =")]
+    assert len(kept) == len(lines) - 1
+    return "".join(kept)
+
+
+@pytest.mark.parametrize("key", ["id", "name", "framework", "intended_types"])
+def test_a_profile_without_a_required_key_names_it(tmp_path, key):
+    with pytest.raises(ParseError, match=re.escape(f"missing key '{key}'")):
+        _load_single(tmp_path, _without(MINIMAL_PROFILE, key))
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "id",
+        "trigger_actions",
+        "trigger_input_forms",
+        "trigger_output_forms",
+        "output_def",
+        "relicense",
+    ],
+)
+def test_a_rule_without_a_required_key_names_it(tmp_path, key):
+    with pytest.raises(ParseError, match=re.escape(f"missing key '{key}'")):
+        _load_single(tmp_path, MINIMAL_PROFILE + _without(RULE_BLOCK, key))
+
+
+def test_the_rules_file_keys_are_the_profile_and_rule_fields():
+    assert _PROFILE_KEYS | _RULE_KEYS == {
+        "id",
+        "name",
+        "framework",
+        "intended_types",
+        "copyleft",
+        "permissive",
+        "revocable",
+        "granted",
+        "reserved",
+        "sublicense_waived_by_auto_relicense",
+        "compatible_with",
+        "trigger_actions",
+        "trigger_input_forms",
+        "trigger_output_forms",
+        "output_def",
+        "relicense",
+        "publish_restrictions",
+        "use_restrictions",
+        "allow_sharing",
+        "fuzz_only",
+    }
 
 
 def test_fuzz_only_rule_with_bare_forms_loads(tmp_path):

@@ -15,7 +15,6 @@ from licflow import (
     CycleIntroduced,
     DoubleProducer,
     DuplicateId,
-    FormCategory,
     InputRole,
     PublishManner,
     ReportCode,
@@ -27,9 +26,9 @@ from licflow import (
     add_work,
     generalize_output_typing,
     parse_workflow,
-    toposort_actions,
     validate_graph,
 )
+from licflow.model import toposort_actions
 
 from _helpers import (
     action,
@@ -64,17 +63,17 @@ def test_bare_forms_are_the_category_placeholders():
 
 
 def test_every_form_maps_into_its_category():
-    assert WorkForm.CODE.category is FormCategory.RAW
-    assert WorkForm.WEIGHTS.category is FormCategory.RAW
-    assert WorkForm.CORPUS.category is FormCategory.RAW
-    assert WorkForm.TEXT.category is FormCategory.RAW
-    assert WorkForm.IMAGE.category is FormCategory.RAW
-    assert WorkForm.EXE.category is FormCategory.BINARY
-    assert WorkForm.SAAS.category is FormCategory.SERVICE
-    assert WorkForm.API.category is FormCategory.SERVICE
+    assert WorkForm.CODE.category is WorkForm.RAW
+    assert WorkForm.WEIGHTS.category is WorkForm.RAW
+    assert WorkForm.CORPUS.category is WorkForm.RAW
+    assert WorkForm.TEXT.category is WorkForm.RAW
+    assert WorkForm.IMAGE.category is WorkForm.RAW
+    assert WorkForm.EXE.category is WorkForm.BINARY
+    assert WorkForm.SAAS.category is WorkForm.SERVICE
+    assert WorkForm.API.category is WorkForm.SERVICE
     for form in WorkForm:
         if form.is_bare:
-            assert form.category.value == form.value
+            assert form.category is form
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from licflow import (
     published_targets,
     run_all,
     serialize_graph,
-    sort_reports,
 )
+from licflow.reports import sort_reports
 
 from _helpers import (
     action,

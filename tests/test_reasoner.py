@@ -31,14 +31,17 @@ from licflow import (
     WorkForm,
     WorkType,
     derive_compositional,
+    run_all,
+)
+from licflow import reasoner
+from licflow.reasoner import (
+    action_usages,
     derive_requests,
     derive_rulings,
     determine_licenses,
-    run_all,
-    work_members,
+    members_of,
+    rulings_by_work,
 )
-from licflow import reasoner
-from licflow.reasoner import action_usages
 
 from _helpers import (
     action,
@@ -512,6 +515,11 @@ def test_license_determination_needs_no_action_order(monkeypatch):
     assert graph.works["B"].license == "L1"
 
 
+def _members(graph, kb, work_id):
+    work = graph.works[work_id]
+    return members_of(work, work.license, rulings_by_work(graph).get(work_id, []), kb)
+
+
 def test_work_members_combine_assignment_and_claimants():
     kb = kb_of(
         profile("L1",
@@ -523,8 +531,8 @@ def test_work_members_combine_assignment_and_claimants():
         [action("tune", ActionKind.MODIFY, ["A"], "B")],
     )
     _determined(graph, kb)
-    assert work_members(graph, kb, "A") == {"L1"}
-    assert work_members(graph, kb, "B") == {"L1"}
+    assert _members(graph, kb, "A") == {"L1"}
+    assert _members(graph, kb, "B") == {"L1"}
 
 
 def test_a_declared_license_speaks_alone_over_its_rulings():
@@ -540,7 +548,7 @@ def test_a_declared_license_speaks_alone_over_its_rulings():
     )
     _determined(graph, kb)
     assert [r.rule for r in graph.rulings] == ["L1-r"]
-    assert work_members(graph, kb, "B") == {"L2"}
+    assert _members(graph, kb, "B") == {"L2"}
 
 
 def test_relicense_any_rules_never_claim_membership():
@@ -550,7 +558,7 @@ def test_relicense_any_rules_never_claim_membership():
         [action("tune", ActionKind.MODIFY, ["A"], "B")],
     )
     _determined(graph, kb)
-    assert work_members(graph, kb, "B") == {DEFAULT_LICENSE}
+    assert _members(graph, kb, "B") == {DEFAULT_LICENSE}
 
 
 # ---------------------------------------------------------------------------
