@@ -47,7 +47,7 @@ def _load_kb(args: argparse.Namespace) -> KnowledgeBase:
 
 def _read_file(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as err:
         raise InterchangeError(f"cannot read {path}: {err}") from err
@@ -133,9 +133,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if structural:
         if args.output == "structured":
             _print_lines(structural, _structured_line)
+        elif args.output == "dot":
+            print(export_dot(graph, structural), end="")
         else:
-            if args.output == "human":
-                print(DISCLAIMER)
+            print(DISCLAIMER)
             _print_reports_human(structural, "workflow validation failed")
         return ExitClass.ERRORS.value
 

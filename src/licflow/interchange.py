@@ -16,8 +16,8 @@ it reproduces the graph the reasoner originally started from.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Iterable, Union
 
 from .kb import OutputDefinition, Usage
 from .model import (
@@ -65,6 +65,22 @@ class SemanticError(InterchangeError):
     """A well-formed document describing an invalid workflow."""
 
 
+@dataclass(frozen=True)
+class Ident:
+    """A named node, kept as its local name within the mg namespace."""
+
+    local: str
+
+
+Object = Union[Ident, str, bool, int]
+
+
+@dataclass
+class Document:
+    prefixes: dict[str, str] = field(default_factory=dict)
+    statements: list[tuple[str, str, Object]] = field(default_factory=list)
+
+
 _ACTION_CLASSES = {
     "CopyAction": ActionKind.COPY,
     "CombineAction": ActionKind.COMBINE,
@@ -87,57 +103,101 @@ _EDGE_PREDICATES = {
 }
 _PREDICATE_OF_EDGE = {kind: name for name, kind in _EDGE_PREDICATES.items()}
 
-# In the order serialization writes them.
-_INPUT_PREDICATES = {
-    "hasInput": InputRole.PRIMARY,
-    "hasTrainingData": InputRole.TRAINING_DATA,
-    "hasAuxInput": InputRole.AUXILIARY,
+
+class _Entry:
+    """One predicate of a node class and the field its objects fill."""
+
+    def __init__(self, predicate: str, field: str, what: str, kind: object):
+        self.predicate = predicate
+        self.field = field
+        # The value's name in error messages.
+        self.what = what
+        # `str` or an enum class for a string, `Ident` for a work id, an
+        # `InputRole` for an input in that role, `set` for a set of work ids.
+        self.kind = kind
+        self.many = kind is set or isinstance(kind, InputRole)
+
+
+class _Node:
+    """The vocabulary of one node class, in the order serialization writes it.
+
+    A field that holds its dataclass default is not written. A field
+    without a default must be stated once, unless many statements fill it.
+    """
+
+    def __init__(self, cls: type, noun: str, *table: _Entry):
+        self.noun = noun
+        self.a_noun = f"{'an' if noun[0] in 'aeiou' else 'a'} {noun}"
+        self.table = table
+        self.entries = {entry.predicate: entry for entry in table}
+        self.defaults = {f.name: f.default for f in fields(cls)}
+        self.required = [
+            entry
+            for entry in table
+            if self.defaults[entry.field] is MISSING and not entry.many
+        ]
+        # The empty container each field that many statements fill starts as.
+        self.containers = {
+            entry.field: set if entry.kind is set else list
+            for entry in table
+            if entry.many
+        }
+
+
+_WORK = _Node(
+    Work,
+    "work",
+    _Entry("name", "name", "name", str),
+    _Entry("workType", "work_type", "work type", WorkType),
+    _Entry("workForm", "form", "work form", WorkForm),
+    _Entry("hasLicense", "license", "license", str),
+    _Entry("origin", "origin", "origin", Origin),
+)
+_ACTION = _Node(
+    ActionNode,
+    "action",
+    _Entry("hasInput", "inputs", "input", InputRole.PRIMARY),
+    _Entry("hasTrainingData", "inputs", "input", InputRole.TRAINING_DATA),
+    _Entry("hasAuxInput", "inputs", "input", InputRole.AUXILIARY),
+    _Entry("hasOutput", "output", "output", Ident),
+    _Entry("publishManner", "publish_manner", "publish manner", PublishManner),
+    _Entry("publishForm", "publish_form", "publish form", WorkForm),
+    _Entry("registersLicense", "license_to_register", "registered license", str),
+    _Entry("copublish", "copublish", "copublish entry", set),
+)
+_OUTPUT = next(entry for entry in _ACTION.table if entry.field == "output")
+_RULING = _Node(
+    RulingRecord,
+    "ruling",
+    _Entry("hasReliedwork", "relied_work", "relied work", Ident),
+    _Entry("byRule", "rule", "rule", str),
+    _Entry("outputDef", "output_def", "output definition", OutputDefinition),
+)
+_REQUEST = _Node(
+    RequestRecord,
+    "request",
+    _Entry("sourceWork", "source_work", "source work", Ident),
+    _Entry("targetWork", "target_work", "target work", Ident),
+    _Entry("usage", "usage", "usage", Usage),
+)
+
+# The records the reasoner writes, by class: the predicate that links each
+# record from the node it belongs to, that node's field, and the table.
+_RECORDS = {
+    "Ruling": ("hasRuling", "work", _RULING),
+    "Request": ("hasRequest", "action", _REQUEST),
 }
-_SINGLE_ACTION_PREDICATES = frozenset(
-    {"hasOutput", "publishManner", "publishForm", "registersLicense"}
-)
 
-# The first three are required.
-_WORK_PREDICATES = ("name", "workType", "workForm", "hasLicense", "origin")
-
-_CLASSES = frozenset({"Work", "Ruling", "Request"} | set(_ACTION_CLASSES))
-_PREDICATES = frozenset(
-    {
-        "copublish",
-        "hasRuling",
-        "hasReliedwork",
-        "byRule",
-        "outputDef",
-        "hasRequest",
-        "sourceWork",
-        "targetWork",
-        "usage",
-    }
-    | set(_WORK_PREDICATES)
-    | set(_EDGE_PREDICATES)
-    | set(_INPUT_PREDICATES)
-    | _SINGLE_ACTION_PREDICATES
-)
+_CLASSES = frozenset({"Work", *_RECORDS, *_ACTION_CLASSES})
 
 # Statements the reasoner writes; parsing ignores them so that reasoned
 # documents round-trip to their base workflow.
-_REASONER_PREDICATES = frozenset(_EDGE_PREDICATES) | {"hasRuling", "hasRequest"}
-
-
-@dataclass(frozen=True)
-class Ident:
-    """A named node, kept as its local name within the mg namespace."""
-
-    local: str
-
-
-Object = Union[Ident, str, bool, int]
-
-
-@dataclass
-class Document:
-    prefixes: dict[str, str] = field(default_factory=dict)
-    statements: list[tuple[str, str, Object]] = field(default_factory=list)
+_REASONER_PREDICATES = frozenset(_EDGE_PREDICATES) | {
+    link for link, _, _ in _RECORDS.values()
+}
+_PREDICATES = _REASONER_PREDICATES.union(
+    *(node.entries for node in (_WORK, _ACTION, _RULING, _REQUEST))
+)
 
 
 # A local name; documents are read and written with the same pattern.
@@ -165,6 +225,7 @@ _TOKEN_RE = re.compile(
 _Token = tuple[str, str, int]
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r"}
+_ESCAPED = str.maketrans({char: "\\" + name for name, char in _ESCAPES.items()})
 
 
 def _syntax_error(message: str, text: str, offset: int) -> WorkflowSyntaxError:
@@ -190,16 +251,6 @@ def _unescape(raw: str, text: str, offset: int) -> str:
             out.append(ch)
         i += 1
     return "".join(out)
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-        .replace("\t", "\\t")
-    )
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -337,25 +388,55 @@ def parse_document(text: str) -> Document:
     return _Parser(text).parse()
 
 
-def _enum_value(enum_cls, raw: Object, subject: str, what: str):
-    if not isinstance(raw, str):
-        raise SemanticError(f"{what} of '{subject}' must be a string")
+def _value(entry: _Entry, obj: Object, subject: str) -> object:
+    """One object of a statement, read as the kind of value its entry holds."""
+    kind = entry.kind
+    if kind is Ident or entry.many:
+        if not isinstance(obj, Ident):
+            raise SemanticError(f"{entry.what} of '{subject}' must be an identifier")
+        return obj.local
+    if not isinstance(obj, str):
+        raise SemanticError(f"{entry.what} of '{subject}' must be a string")
+    if kind is str:
+        return obj
     try:
-        return enum_cls(raw)
+        return kind(obj)
     except ValueError:
-        raise SemanticError(f"{what} of '{subject}' has unknown value {raw!r}") from None
+        raise SemanticError(
+            f"{entry.what} of '{subject}' has unknown value {obj!r}"
+        ) from None
 
 
-def _as_ident(raw: Object, subject: str, what: str) -> str:
-    if not isinstance(raw, Ident):
-        raise SemanticError(f"{what} of '{subject}' must be an identifier")
-    return raw.local
+def _read(subject: str, rows: list[tuple[str, Object]], node: _Node) -> dict:
+    """The fields a node's statements fill, read in statement order.
 
-
-def _as_string(raw: Object, subject: str, what: str) -> str:
-    if not isinstance(raw, str):
-        raise SemanticError(f"{what} of '{subject}' must be a string")
-    return raw
+    Reasoner-owned statements are skipped. The first statement at fault
+    is reported, then the first required predicate left unstated.
+    """
+    values = {name: empty() for name, empty in node.containers.items()}
+    for predicate, obj in rows:
+        if predicate == "a" or predicate in _REASONER_PREDICATES:
+            continue
+        entry = node.entries.get(predicate)
+        if entry is None:
+            raise SemanticError(
+                f"predicate 'mg:{predicate}' not valid on {node.a_noun}"
+            )
+        if entry.field in values and not entry.many:
+            raise SemanticError(f"duplicate 'mg:{predicate}' on '{subject}'")
+        value = _value(entry, obj, subject)
+        if not entry.many:
+            values[entry.field] = value
+        elif entry.kind is set:
+            values[entry.field].add(value)
+        else:
+            values[entry.field].append(ActionInput(value, entry.kind))
+    for entry in node.required:
+        if entry.field not in values:
+            raise SemanticError(
+                f"{node.noun} '{subject}' is missing 'mg:{entry.predicate}'"
+            )
+    return values
 
 
 def parse_workflow(text: str) -> WorkflowGraph:
@@ -366,123 +447,49 @@ def parse_workflow(text: str) -> WorkflowGraph:
     """
     doc = parse_document(text)
 
-    by_subject: dict[str, list[tuple[str, Object]]] = {}
-    order: list[str] = []
+    rows_of: dict[str, list[tuple[str, Object]]] = {}
     for subject, predicate, obj in doc.statements:
-        if subject not in by_subject:
-            by_subject[subject] = []
-            order.append(subject)
-        by_subject[subject].append((predicate, obj))
+        rows_of.setdefault(subject, []).append((predicate, obj))
 
     classes: dict[str, str] = {}
-    for subject in order:
-        for predicate, obj in by_subject[subject]:
+    for subject, rows in rows_of.items():
+        for predicate, obj in rows:
             if predicate == "a":
                 if subject in classes:
                     raise SemanticError(f"'{subject}' declared with two classes")
-                classes[subject] = _as_ident(obj, subject, "class")
-    for subject in order:
+                if not isinstance(obj, Ident):
+                    raise SemanticError(f"class of '{subject}' must be an identifier")
+                classes[subject] = obj.local
+    for subject in rows_of:
         if subject not in classes:
             raise SemanticError(f"'{subject}' has no class declaration")
 
+    # Outputs come first: a work that an action produces has no license
+    # of its own to declare.
+    produced = {
+        _value(_OUTPUT, obj, subject)
+        for subject, rows in rows_of.items()
+        if classes[subject] in _ACTION_CLASSES
+        for predicate, obj in rows
+        if predicate == _OUTPUT.predicate
+    }
     graph = WorkflowGraph()
-    produced: set[str] = set()
-    for subject in order:
-        if classes[subject] in _ACTION_CLASSES:
-            for predicate, obj in by_subject[subject]:
-                if predicate == "hasOutput":
-                    produced.add(_as_ident(obj, subject, "output"))
-
-    for subject in order:
+    for subject, rows in rows_of.items():
         if classes[subject] != "Work":
             continue
-        fields: dict[str, Object] = {}
-        for predicate, obj in by_subject[subject]:
-            if predicate == "a" or predicate in _REASONER_PREDICATES:
-                continue
-            if predicate not in _WORK_PREDICATES:
-                raise SemanticError(f"predicate 'mg:{predicate}' not valid on a work")
-            if predicate in fields:
-                raise SemanticError(f"duplicate 'mg:{predicate}' on '{subject}'")
-            fields[predicate] = obj
-        for required in _WORK_PREDICATES[:3]:
-            if required not in fields:
-                raise SemanticError(f"work '{subject}' is missing 'mg:{required}'")
-        license_id: Optional[str] = None
-        if "hasLicense" in fields:
-            license_id = _as_string(fields["hasLicense"], subject, "license")
-        origin = Origin.USER_DECLARED
-        if "origin" in fields:
-            origin = _enum_value(Origin, fields["origin"], subject, "origin")
-        if origin is Origin.DERIVED:
-            license_id = None
-        elif license_id is not None and subject in produced:
+        values = _read(subject, rows, _WORK)
+        if values.pop("origin", None) is Origin.DERIVED:
+            values.pop("license", None)
+        elif "license" in values and subject in produced:
             raise SemanticError(
                 f"work '{subject}' is produced by an action but declares a license"
             )
-        work = Work(
-            id=subject,
-            name=_as_string(fields["name"], subject, "name"),
-            work_type=_enum_value(WorkType, fields["workType"], subject, "work type"),
-            form=_enum_value(WorkForm, fields["workForm"], subject, "work form"),
-            license=license_id,
-            origin=Origin.USER_DECLARED,
-        )
-        try:
-            add_work(graph, work)
-        except GraphError as err:
-            raise SemanticError(str(err)) from err
-
-    for subject in order:
+        add_work(graph, Work(id=subject, **values))
+    for subject, rows in rows_of.items():
         kind = _ACTION_CLASSES.get(classes[subject])
         if kind is None:
             continue
-        inputs: list[ActionInput] = []
-        output: Optional[str] = None
-        manner: Optional[PublishManner] = None
-        publish_form: Optional[WorkForm] = None
-        register: Optional[str] = None
-        copublish: set[str] = set()
-        seen: set[str] = set()
-        for predicate, obj in by_subject[subject]:
-            if predicate == "a" or predicate in _REASONER_PREDICATES:
-                continue
-            if predicate in _SINGLE_ACTION_PREDICATES:
-                if predicate in seen:
-                    raise SemanticError(f"duplicate 'mg:{predicate}' on '{subject}'")
-                seen.add(predicate)
-            if predicate in _INPUT_PREDICATES:
-                inputs.append(
-                    ActionInput(
-                        _as_ident(obj, subject, "input"), _INPUT_PREDICATES[predicate]
-                    )
-                )
-            elif predicate == "hasOutput":
-                output = _as_ident(obj, subject, "output")
-            elif predicate == "publishManner":
-                manner = _enum_value(PublishManner, obj, subject, "publish manner")
-            elif predicate == "publishForm":
-                publish_form = _enum_value(WorkForm, obj, subject, "publish form")
-            elif predicate == "registersLicense":
-                register = _as_string(obj, subject, "registered license")
-            elif predicate == "copublish":
-                copublish.add(_as_ident(obj, subject, "copublish entry"))
-            else:
-                raise SemanticError(
-                    f"predicate 'mg:{predicate}' not valid on an action"
-                )
-        if output is None:
-            raise SemanticError(f"action '{subject}' is missing 'mg:hasOutput'")
-        action = ActionNode(
-            id=subject,
-            kind=kind,
-            inputs=inputs,
-            output=output,
-            publish_manner=manner,
-            publish_form=publish_form,
-            license_to_register=register,
-            copublish=copublish,
-        )
+        action = ActionNode(id=subject, kind=kind, **_read(subject, rows, _ACTION))
         try:
             add_action(graph, action)
         except GraphError as err:
@@ -497,62 +504,39 @@ def _ident_text(local: str) -> str:
     return f"{PREFIX}:{local}"
 
 
-def _fmt(obj: Object) -> str:
-    if isinstance(obj, Ident):
-        return _ident_text(obj.local)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    return f'"{_escape(obj)}"'
+def _terms(entry: _Entry, value: object) -> list[str]:
+    """A field's value as the objects of its predicate, in document text."""
+    kind = entry.kind
+    if kind is set:
+        return [_ident_text(work) for work in sorted(value)]
+    if isinstance(kind, InputRole):
+        return [_ident_text(inp.work) for inp in value if inp.role is kind]
+    if kind is Ident:
+        return [_ident_text(value)]
+    text = value if kind is str else value.value
+    return [f'"{text.translate(_ESCAPED)}"']
 
 
-def _block(subject: str, rows: list[tuple[str, list[Object]]]) -> list[str]:
-    lines = []
-    head = _ident_text(subject)
-    for index, (predicate, objects) in enumerate(rows):
-        verb = predicate if predicate == "a" else f"{PREFIX}:{predicate}"
-        rendered = ", ".join(_fmt(obj) for obj in objects)
-        lead = head if index == 0 else "   "
-        tail = " ." if index == len(rows) - 1 else " ;"
-        lines.append(f"{lead} {verb} {rendered}{tail}")
-    lines.append("")
-    return lines
+def _block(subject: str, class_name: str, node: _Node, record: object) -> str:
+    """A node's statements: its class, then each field that is not its default."""
+    rows = [f"a {PREFIX}:{class_name}"]
+    for entry in node.table:
+        value = getattr(record, entry.field)
+        if value != node.defaults[entry.field]:
+            terms = _terms(entry, value)
+            if terms:
+                rows.append(f"{PREFIX}:{entry.predicate} {', '.join(terms)}")
+    return f"{_ident_text(subject)} " + " ;\n    ".join(rows) + " .\n"
 
 
 def serialize_graph(graph: WorkflowGraph) -> str:
     """Render a graph deterministically; reasoned state included if present."""
     lines = [f"@prefix {PREFIX}: <{NAMESPACE}> .", ""]
-
     for wid in sorted(graph.works):
-        work = graph.works[wid]
-        rows: list[tuple[str, list[Object]]] = [("a", [Ident("Work")])]
-        rows.append(("name", [work.name]))
-        rows.append(("workType", [work.work_type.value]))
-        rows.append(("workForm", [work.form.value]))
-        if work.license is not None:
-            rows.append(("hasLicense", [work.license]))
-        if work.origin is Origin.DERIVED:
-            rows.append(("origin", [work.origin.value]))
-        lines.extend(_block(wid, rows))
-
+        lines.append(_block(wid, "Work", _WORK, graph.works[wid]))
     for aid in sorted(graph.actions):
         action = graph.actions[aid]
-        rows = [("a", [Ident(_CLASS_OF_KIND[action.kind])])]
-        for predicate, role in _INPUT_PREDICATES.items():
-            inputs = [Ident(inp.work) for inp in action.inputs if inp.role is role]
-            if inputs:
-                rows.append((predicate, inputs))
-        rows.append(("hasOutput", [Ident(action.output)]))
-        if action.publish_manner is not None:
-            rows.append(("publishManner", [action.publish_manner.value]))
-        if action.publish_form is not None:
-            rows.append(("publishForm", [action.publish_form.value]))
-        if action.license_to_register is not None:
-            rows.append(("registersLicense", [action.license_to_register]))
-        if action.copublish:
-            rows.append(("copublish", [Ident(w) for w in sorted(action.copublish)]))
-        lines.extend(_block(aid, rows))
+        lines.append(_block(aid, _CLASS_OF_KIND[action.kind], _ACTION, action))
 
     edges = sorted(graph.edges, key=lambda e: (e.target, e.kind.value, e.source))
     for edge in edges:
@@ -563,41 +547,15 @@ def serialize_graph(graph: WorkflowGraph) -> str:
     if edges:
         lines.append("")
 
-    for record in sorted(graph.rulings, key=lambda r: r.id):
-        lines.append(
-            f"{_ident_text(record.work)} {PREFIX}:hasRuling {_ident_text(record.id)} ."
-        )
-        lines.extend(
-            _block(
-                record.id,
-                [
-                    ("a", [Ident("Ruling")]),
-                    ("hasReliedwork", [Ident(record.relied_work)]),
-                    ("byRule", [record.rule]),
-                    ("outputDef", [record.output_def.value]),
-                ],
+    for class_name, records in (("Ruling", graph.rulings), ("Request", graph.requests)):
+        link, owner, node = _RECORDS[class_name]
+        for record in sorted(records, key=lambda r: r.id):
+            lines.append(
+                f"{_ident_text(getattr(record, owner))} {PREFIX}:{link} "
+                f"{_ident_text(record.id)} ."
             )
-        )
-
-    for record in sorted(graph.requests, key=lambda r: r.id):
-        lines.append(
-            f"{_ident_text(record.action)} {PREFIX}:hasRequest {_ident_text(record.id)} ."
-        )
-        lines.extend(
-            _block(
-                record.id,
-                [
-                    ("a", [Ident("Request")]),
-                    ("sourceWork", [Ident(record.source_work)]),
-                    ("targetWork", [Ident(record.target_work)]),
-                    ("usage", [record.usage.value]),
-                ],
-            )
-        )
-
-    while lines and lines[-1] == "":
-        lines.pop()
-    return "\n".join(lines) + "\n"
+            lines.append(_block(record.id, class_name, node, record))
+    return "\n".join(lines).rstrip("\n") + "\n"
 
 
 def _dot_quote(*lines: str) -> str:

@@ -11,7 +11,15 @@ from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TypeVar, Union
+from typing import (
+    Iterable,
+    Optional,
+    Sequence,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from .model import ActionKind, WorkForm, WorkType
 
@@ -240,44 +248,65 @@ def are_compatible(
     return min(intersection)
 
 
-def _keys(kind: type, *skip: str) -> tuple[frozenset[str], list[str]]:
-    """The .mgl keys of a dataclass's fields, and those without a default, in order."""
-    kept = [f for f in fields(kind) if f.name not in skip]
-    required = [
-        f.name for f in kept if f.default is MISSING and f.default_factory is MISSING
-    ]
-    return frozenset(f.name for f in kept), required
+def _schema(kind: type, *skip: str) -> dict[str, tuple[type, bool, bool]]:
+    """Each .mgl key of a dataclass's fields, with how it is read.
+
+    A key gives its field's type (or the item type of a set, stated as
+    comma-separated items), whether it is a set, and whether it is
+    required because its field has no default.
+    """
+    hints = get_type_hints(kind)
+    schema = {}
+    for f in fields(kind):
+        if f.name in skip:
+            continue
+        hint = hints[f.name]
+        many = get_origin(hint) is set
+        required = f.default is MISSING and f.default_factory is MISSING
+        schema[f.name] = (get_args(hint)[0] if many else hint, many, required)
+    return schema
 
 
-_PROFILE_KEYS, _PROFILE_REQUIRED = _keys(LicenseProfile, "rules", "metadata")
-_RULE_KEYS, _RULE_REQUIRED = _keys(Rule, "license")
+_PROFILE_SCHEMA = _schema(LicenseProfile, "rules", "metadata")
+_RULE_SCHEMA = _schema(Rule, "license")
+_PROFILE_KEYS = _PROFILE_SCHEMA.keys()
+_RULE_KEYS = _RULE_SCHEMA.keys()
 
 
-def _parse_bool(raw: str, where: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ParseError(f"{where}: expected true or false, got {raw!r}")
-
-
-def _split_tokens(raw: str) -> list[str]:
-    return [token.strip() for token in raw.split(",") if token.strip()]
-
-
-_E = TypeVar("_E", bound=Enum)
-
-
-def _member(kind: type[_E], token: str, where: str) -> _E:
+def _value(kind: type, raw: str, where: str) -> object:
+    """One value read as text, a boolean or an enum member."""
+    if kind is str:
+        return raw
+    if kind is bool:
+        if raw not in ("true", "false"):
+            raise ParseError(f"{where}: expected true or false, got {raw!r}")
+        return raw == "true"
     try:
-        return kind(token)
+        return kind(raw)
     except ValueError:
-        raise ParseError(f"{where}: unknown token {token!r}") from None
+        raise ParseError(f"{where}: unknown token {raw!r}") from None
 
 
-def _members(kind: type[_E], raw: str, where: str) -> list[_E]:
-    """Each comma-separated token of ``raw`` as its member of ``kind``."""
-    return [_member(kind, token, where) for token in _split_tokens(raw)]
+def _read(
+    schema: dict[str, tuple[type, bool, bool]], entries: dict[str, str], where: str
+) -> dict[str, object]:
+    """The fields a section fills; a key left out keeps its field's default."""
+    for key in entries:
+        if key not in schema:
+            raise ParseError(f"{where}: unknown key {key!r}")
+    for key, (_, _, required) in schema.items():
+        if required and key not in entries:
+            raise ParseError(f"{where}: missing key {key!r}")
+    values: dict[str, object] = {}
+    for key, (kind, many, _) in schema.items():
+        if key in entries:
+            raw, at = entries[key], f"{where} {key}"
+            if many:
+                tokens = (token.strip() for token in raw.split(","))
+                values[key] = {_value(kind, token, at) for token in tokens if token}
+            else:
+                values[key] = _value(kind, raw, at)
+    return values
 
 
 class _SectionReader:
@@ -312,129 +341,55 @@ class _SectionReader:
 
 def _build_profile(path: Path, entries: dict[str, str]) -> LicenseProfile:
     where = f"{path} [profile]"
-    for key in entries:
-        if key not in _PROFILE_KEYS and not key.startswith("meta."):
-            raise ParseError(f"{where}: unknown key {key!r}")
-    for required in _PROFILE_REQUIRED:
-        if required not in entries:
-            raise ParseError(f"{where}: missing key {required!r}")
-    framework = _member(LicenseFramework, entries["framework"], f"{where} framework")
-    intended_types = _members(
-        WorkType, entries["intended_types"], f"{where} intended_types"
-    )
-    revocable = _member(
-        Revocability, entries.get("revocable", "unstated"), f"{where} revocable"
-    )
+    stated: dict[str, str] = {}
+    metadata: dict[str, str] = {}
+    for key, value in entries.items():
+        if key.startswith("meta."):
+            metadata[key[len("meta."):]] = value
+        else:
+            stated[key] = value
+    profile = LicenseProfile(**_read(_PROFILE_SCHEMA, stated, where), metadata=metadata)
 
-    usage_sets = {
-        key: set(_members(Usage, entries.get(key, ""), f"{where} {key}"))
-        for key in ("granted", "reserved")
-    }
-    overlap = usage_sets["granted"] & usage_sets["reserved"]
+    overlap = profile.granted & profile.reserved
     if overlap:
         names = ", ".join(sorted(u.value for u in overlap))
         raise ParseError(f"{where}: usages both granted and reserved: {names}")
-
-    copyleft = _parse_bool(entries.get("copyleft", "false"), f"{where} copyleft")
-    permissive = _parse_bool(entries.get("permissive", "false"), f"{where} permissive")
-    if copyleft == permissive:
+    if profile.copyleft == profile.permissive:
         raise ParseError(
             f"{where}: exactly one of copyleft and permissive must be true"
         )
-
-    license_id = entries["id"]
-    compatible_with = set(_split_tokens(entries.get("compatible_with", "")))
-    if license_id not in compatible_with:
-        raise ParseError(f"{where}: compatible_with must include {license_id!r} itself")
-
-    metadata = {
-        key[len("meta."):]: value
-        for key, value in entries.items()
-        if key.startswith("meta.")
-    }
-    return LicenseProfile(
-        id=license_id,
-        name=entries["name"],
-        framework=framework,
-        intended_types=set(intended_types),
-        copyleft=copyleft,
-        permissive=permissive,
-        revocable=revocable,
-        granted=usage_sets["granted"],
-        reserved=usage_sets["reserved"],
-        sublicense_waived_by_auto_relicense=_parse_bool(
-            entries.get("sublicense_waived_by_auto_relicense", "false"),
-            f"{where} sublicense_waived_by_auto_relicense",
-        ),
-        compatible_with=compatible_with,
-        metadata=metadata,
-    )
+    if profile.id not in profile.compatible_with:
+        raise ParseError(f"{where}: compatible_with must include {profile.id!r} itself")
+    return profile
 
 
 def _build_rule(path: Path, entries: dict[str, str], license_id: str) -> Rule:
-    rule_id = entries.get("id", "<missing id>")
-    where = f"{path} [rule {rule_id}]"
-    for key in entries:
-        if key not in _RULE_KEYS:
-            raise ParseError(f"{where}: unknown key {key!r}")
-    for key in _RULE_REQUIRED:
-        if key not in entries:
-            raise ParseError(f"{where}: missing key {key!r}")
+    where = f"{path} [rule {entries.get('id', '<missing id>')}]"
+    rule = Rule(license=license_id, **_read(_RULE_SCHEMA, entries, where))
 
-    actions, in_forms, out_forms = (
-        _members(kind, entries[key], f"{where} {key}")
-        for kind, key in (
-            (ActionKind, "trigger_actions"),
-            (WorkForm, "trigger_input_forms"),
-            (WorkForm, "trigger_output_forms"),
-        )
-    )
-    if not actions or not in_forms or not out_forms:
+    if not (
+        rule.trigger_actions and rule.trigger_input_forms and rule.trigger_output_forms
+    ):
         raise ParseError(f"{where}: triggers cannot be empty")
-    output_def = _member(OutputDefinition, entries["output_def"], f"{where} output_def")
-    relicense = _member(RelicensePolicy, entries["relicense"], f"{where} relicense")
-
-    publish, use = (
-        _members(Restriction, entries.get(key, ""), f"{where} {key}")
-        for key in ("publish_restrictions", "use_restrictions")
-    )
-    for restriction in publish:
-        if restriction in _USE_SCOPED:
+    # A set keeps no order, so the first misplaced restriction by value is named.
+    for stray, scope, listed in (
+        (rule.publish_restrictions & _USE_SCOPED, "use", "publish"),
+        (rule.use_restrictions - _USE_SCOPED, "publish", "use"),
+    ):
+        if stray:
+            value = min(r.value for r in stray)
             raise ParseError(
-                f"{where}: {restriction.value!r} is use scoped, "
-                f"not a publish restriction"
+                f"{where}: {value!r} is {scope} scoped, not a {listed} restriction"
             )
-    for restriction in use:
-        if restriction not in _USE_SCOPED:
-            raise ParseError(
-                f"{where}: {restriction.value!r} is publish scoped, "
-                f"not a use restriction"
-            )
-
-    fuzz_only = _parse_bool(entries.get("fuzz_only", "false"), f"{where} fuzz_only")
-    if fuzz_only and not all(f.is_bare for f in in_forms + out_forms):
+    forms = rule.trigger_input_forms | rule.trigger_output_forms
+    if rule.fuzz_only and not all(form.is_bare for form in forms):
         raise ParseError(f"{where}: fuzz_only rules must use bare forms")
-
-    return Rule(
-        id=entries["id"],
-        license=license_id,
-        trigger_actions=set(actions),
-        trigger_input_forms=set(in_forms),
-        trigger_output_forms=set(out_forms),
-        output_def=output_def,
-        relicense=relicense,
-        publish_restrictions=set(publish),
-        use_restrictions=set(use),
-        allow_sharing=_parse_bool(
-            entries.get("allow_sharing", "true"), f"{where} allow_sharing"
-        ),
-        fuzz_only=fuzz_only,
-    )
+    return rule
 
 
 def _parse_file(path: Path) -> LicenseProfile:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     reader = _SectionReader(path, text)

@@ -390,6 +390,31 @@ def test_analyze_stops_on_structural_failures(tmp_path, capsys):
     assert "E1" in out
 
 
+def test_dot_output_of_a_structural_failure_is_a_graph(tmp_path, capsys):
+    path = tmp_path / "mismatch.mgw"
+    path.write_text(MISMATCHED_WORKFLOW, encoding="utf-8")
+    code = main(["analyze", str(path), "--output", "dot"])
+    out = capsys.readouterr().out
+    assert code == ExitClass.ERRORS.value
+    assert out.startswith("digraph workflow {")
+    assert out.endswith("}\n")
+    assert '"W" [label="Odd One\\nmodel/text\\n[E1]"];' in out
+    assert DISCLAIMER not in out
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_a_workflow_may_start_with_a_byte_order_mark(
+    command, setting_paths, tmp_path, capsys
+):
+    main([command, str(setting_paths["i"]), "--output", "structured"])
+    plain = capsys.readouterr()
+    path = tmp_path / "bom.mgw"
+    path.write_bytes(b"\xef\xbb\xbf" + setting_paths["i"].read_bytes())
+    code = main([command, str(path), "--output", "structured"])
+    assert code != EXIT_USAGE
+    assert capsys.readouterr() == plain
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------

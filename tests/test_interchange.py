@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from licflow import (
     ActionKind,
+    ActionNode,
     DependencyEdge,
     EdgeKind,
+    InputRole,
     InterchangeError,
     Origin,
     SemanticError,
     UnknownTerm,
     UnknownWork,
+    Work,
     WorkflowGraph,
     WorkflowSyntaxError,
     WorkForm,
@@ -22,7 +27,7 @@ from licflow import (
     run_all,
     serialize_graph,
 )
-from licflow.interchange import Ident, parse_document
+from licflow.interchange import _ACTION, _WORK, Ident, parse_document
 
 from _helpers import (
     action,
@@ -57,6 +62,24 @@ TUNE = """mg:tune a mg:ModifyAction ;
    mg:hasInput mg:A ;
    mg:hasOutput mg:B .
 """
+
+
+# ---------------------------------------------------------------------------
+# The vocabulary
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("node, cls", [(_WORK, Work), (_ACTION, ActionNode)])
+def test_every_field_is_filled_by_its_own_predicates(node, cls):
+    predicates = {f.name: [] for f in fields(cls) if f.name not in ("id", "kind")}
+    for entry in node.table:
+        predicates[entry.field].append(entry.predicate)
+    assert set(predicates) == {f.name for f in fields(cls)} - {"id", "kind"}
+    for name, named_by in predicates.items():
+        # An action's inputs are stated with one predicate per role.
+        expected = len(InputRole) if name == "inputs" else 1
+        assert len(named_by) == expected, name
+    assert len({entry.predicate for entry in node.table}) == len(node.table)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +335,81 @@ def test_unknown_class_is_rejected():
 def test_invalid_workflows_are_semantic_errors(blocks, hint):
     with pytest.raises(SemanticError, match=hint):
         parse_workflow(doc(*blocks))
+
+
+# Documents with two faults each, and the one that is reported. Classes
+# are settled subject by subject before any work is read, every output
+# before any work, and every work before any action. A node's statements
+# are read in order, and a missing predicate is reported after them.
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        (
+            (
+                'mg:W a mg:Work ; mg:name 5 ; mg:workType "model" ;',
+                '   mg:workForm "weights" .',
+                'mg:X a "Work" .',
+            ),
+            "class of 'X' must be an identifier",
+        ),
+        (
+            ("mg:A a mg:Work .", 'mg:X a "Work" .', "mg:A a mg:Work ."),
+            "'A' declared with two classes",
+        ),
+        (
+            ('mg:A mg:name "x" .', "mg:X a mg:Work ; a mg:Work ."),
+            "'X' declared with two classes",
+        ),
+        (
+            (
+                WORK_A,
+                WORK_B.replace('"model"', '"sculpture"'),
+                TUNE.replace(" .", ' ;\n   mg:publishManner "gift" .'),
+            ),
+            "work type of 'B' has unknown value 'sculpture'",
+        ),
+        (
+            (TUNE.replace("mg:A", '"A"'), WORK_A, WORK_B.replace('"Tuned"', "5")),
+            "name of 'B' must be a string",
+        ),
+        (
+            (WORK_A, WORK_B.replace('"Tuned"', "5"), TUNE.replace("mg:B", '"B"')),
+            "output of 'tune' must be an identifier",
+        ),
+        (
+            (WORK_A, "mg:tune a mg:ModifyAction ; mg:hasInput \"A\" ."),
+            "input of 'tune' must be an identifier",
+        ),
+        (
+            (
+                WORK_A,
+                WORK_B,
+                'mg:pub a mg:PublishAction ; mg:publishManner "gift" ;',
+                '   mg:hasInput "A" ; mg:hasOutput mg:B .',
+            ),
+            "publish manner of 'pub' has unknown value 'gift'",
+        ),
+        (
+            ('mg:W a mg:Work ; mg:workType "sculpture" ; mg:workForm "weights" .',),
+            "work type of 'W' has unknown value 'sculpture'",
+        ),
+    ],
+    ids=[
+        "class-before-field",
+        "classes-by-subject",
+        "two-classes-before-none",
+        "work-before-action",
+        "work-before-earlier-action",
+        "output-before-work",
+        "value-before-missing-output",
+        "values-in-statement-order",
+        "value-before-missing-predicate",
+    ],
+)
+def test_the_first_of_two_faults_is_reported(blocks, message):
+    with pytest.raises(SemanticError) as exc:
+        parse_workflow(doc(*blocks))
+    assert str(exc.value) == message
 
 
 def test_produced_work_may_not_declare_a_license():

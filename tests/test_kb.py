@@ -186,6 +186,46 @@ def _without(text: str, key: str) -> str:
     return "".join(kept)
 
 
+# Files with two faults each, and the one that is reported: unknown and
+# missing keys first, then each value in field order, then the checks
+# that relate one field to another.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            MINIMAL_PROFILE + "revocable = maybe\ncopyleft = perhaps\n",
+            "[profile] copyleft: expected true or false, got 'perhaps'",
+        ),
+        (
+            MINIMAL_PROFILE
+            + RULE_BLOCK.replace("derivative", "sculpture")
+            + "colour = blue\n",
+            "[rule Test-1-main-rule]: unknown key 'colour'",
+        ),
+        (
+            MINIMAL_PROFILE
+            + RULE_BLOCK.replace("modify, train", "").replace("none", "sometimes"),
+            "[rule Test-1-main-rule] relicense: unknown token 'sometimes'",
+        ),
+        (
+            _without(MINIMAL_PROFILE, "name") + "revocable = maybe\n",
+            "[profile]: missing key 'name'",
+        ),
+    ],
+    ids=[
+        "values-in-field-order",
+        "unknown-key-first",
+        "values-before-cross-field-checks",
+        "missing-key-first",
+    ],
+)
+def test_the_first_of_two_rules_file_faults_is_reported(tmp_path, text, message):
+    path = _write_kb(tmp_path, text)
+    with pytest.raises(ParseError) as exc:
+        load_kb([path])
+    assert str(exc.value) == f"{path} {message}"
+
+
 @pytest.mark.parametrize("key", ["id", "name", "framework", "intended_types"])
 def test_a_profile_without_a_required_key_names_it(tmp_path, key):
     with pytest.raises(ParseError, match=re.escape(f"missing key '{key}'")):
@@ -248,6 +288,13 @@ def test_a_file_that_is_not_utf8_is_rejected_by_name(tmp_path):
     path.write_bytes(MINIMAL_PROFILE.replace("One", "\xd8ne").encode("latin-1"))
     with pytest.raises(ParseError, match=re.escape(f"cannot read {path}: 'utf-8'")):
         load_kb([path])
+
+
+def test_a_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.mgl"
+    path.write_bytes(b"\xef\xbb\xbf" + (MINIMAL_PROFILE + RULE_BLOCK).encode())
+    plain = _load_single(tmp_path, MINIMAL_PROFILE + RULE_BLOCK)
+    assert load_kb([path]) == plain
 
 
 def test_missing_path_is_rejected():

@@ -2,14 +2,17 @@
 
 Whatever bytes a `.mgw` workflow or a `.mgl` rules file holds, the loaders
 fail only with their own error classes, never with a stray exception. A
-graph written by `serialize_graph` parses back to itself. The one-pass
-workflow lexer agrees with the per-line oracle token for token.
+graph written by `serialize_graph` parses back to itself, and the order
+of its statement blocks changes nothing `licflow analyze` prints. The
+one-pass workflow lexer agrees with the per-line oracle token for token.
 """
 
 from __future__ import annotations
 
+import io
 import random
 from bisect import bisect_right
+from contextlib import redirect_stdout
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,10 +34,12 @@ from licflow import (
     parse_workflow,
     serialize_graph,
 )
+from licflow.cli import main
 from licflow.interchange import _CLASSES, _NAME_RE, _PREDICATES, _tokenize
 from licflow.kb import _PROFILE_KEYS, _RULE_KEYS
 
 from _helpers import action, graph_of, inputs_of, work
+from graphgen import random_graph
 from oracleutil import naive_tokens
 
 # Bounded, so tier-1 stays fast, and without an example database.
@@ -230,6 +235,30 @@ def test_serialized_graphs_parse_back_to_themselves(ids, names, licenses, copubl
         ],
     )
     assert parse_workflow(serialize_graph(graph)) == graph
+
+
+def _analyze(path, mode: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["analyze", str(path), "--output", mode])
+    return code, out.getvalue()
+
+
+@settings(BOUNDED, max_examples=20)
+@given(st.integers(0, 10**6), st.integers(6, 16), st.randoms(use_true_random=False))
+def test_the_order_of_statement_blocks_changes_no_output(
+    tmp_path_factory, seed, works, rng
+):
+    header, _, body = serialize_graph(random_graph(seed, works)).partition("\n\n")
+    blocks = body.rstrip("\n").split("\n\n")
+    rng.shuffle(blocks)
+    base = tmp_path_factory.getbasetemp()
+    original = base / "original.mgw"
+    original.write_text(header + "\n\n" + body, encoding="utf-8")
+    shuffled = base / "shuffled.mgw"
+    shuffled.write_text(header + "\n\n" + "\n\n".join(blocks) + "\n", encoding="utf-8")
+    for mode in ("human", "structured", "dot"):
+        assert _analyze(shuffled, mode) == _analyze(original, mode)
 
 
 # ---------------------------------------------------------------------------
