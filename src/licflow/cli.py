@@ -128,6 +128,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     unknown = _unknown_licenses(graph, kb)
     if unknown:
         return _fail("; ".join(unknown))
+    targets = published_targets(graph)
+    if args.target is not None:
+        if args.target not in targets:
+            return _fail(f"work '{args.target}' is not the output of a publish action")
+        targets = [args.target]
 
     structural = validate_graph(graph)
     if structural:
@@ -140,20 +145,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             _print_reports_human(structural, "workflow validation failed")
         return ExitClass.ERRORS.value
 
-    reasoned, _stats = run_all(graph, kb, args.fuzz == "on")
-    targets = published_targets(reasoned)
-    if args.target is not None:
-        if args.target not in targets:
-            return _fail(f"work '{args.target}' is not the output of a publish action")
-        targets = [args.target]
+    # The parsed graph is not needed once reasoned; rebinding frees it.
+    graph, _stats = run_all(graph, kb, args.fuzz == "on")
     # Each target is analysed as its output is written, so the reports of
     # every target are never held at once.
-    index = AnalysisIndex(reasoned, kb)
-    results = (analyze_publication(reasoned, kb, t, index) for t in targets)
+    index = AnalysisIndex(graph, kb)
+    results = (analyze_publication(graph, kb, t, index) for t in targets)
 
     if args.output == "dot":
         reports = sort_reports([r for result in results for r in result.reports])
-        print(export_dot(reasoned, reports), end="")
+        print(export_dot(graph, reports), end="")
         return exit_class_of(reports).value
 
     if args.output == "human":

@@ -16,7 +16,7 @@ it reproduces the graph the reasoner originally started from.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Iterable, Union
 
 from .kb import OutputDefinition, Usage
@@ -37,7 +37,7 @@ from .model import (
     add_action,
     add_work,
 )
-from .reasoner import RequestRecord, RulingRecord
+from .reasoner import RequestRecord, RulingRecord, base_license
 from .reports import Report
 
 NAMESPACE = "urn:licflow:v1#"
@@ -121,8 +121,8 @@ class _Entry:
 class _Node:
     """The vocabulary of one node class, in the order serialization writes it.
 
-    A field that holds its dataclass default is not written. A field
-    without a default must be stated once, unless many statements fill it.
+    A field that holds its default is not written. A field without a
+    default must be stated once, unless many statements fill it.
     """
 
     def __init__(self, cls: type, noun: str, *table: _Entry):
@@ -130,7 +130,10 @@ class _Node:
         self.a_noun = f"{'an' if noun[0] in 'aeiou' else 'a'} {noun}"
         self.table = table
         self.entries = {entry.predicate: entry for entry in table}
-        self.defaults = {f.name: f.default for f in fields(cls)}
+        if is_dataclass(cls):
+            self.defaults = {f.name: f.default for f in fields(cls)}
+        else:
+            self.defaults = {**dict.fromkeys(cls._fields, MISSING), **cls._field_defaults}
         self.required = [
             entry
             for entry in table
@@ -443,7 +446,8 @@ def parse_workflow(text: str) -> WorkflowGraph:
     """Build the base workflow graph a document describes.
 
     Reasoner-owned statements are dropped. A work marked as carrying a
-    derived license comes back unlicensed, ready to be reasoned again.
+    derived license comes back unlicensed, ready to be reasoned again,
+    unless it is a root whose license the reasoner would not derive.
     """
     doc = parse_document(text)
 
@@ -477,14 +481,14 @@ def parse_workflow(text: str) -> WorkflowGraph:
     for subject, rows in rows_of.items():
         if classes[subject] != "Work":
             continue
-        values = _read(subject, rows, _WORK)
-        if values.pop("origin", None) is Origin.DERIVED:
-            values.pop("license", None)
-        elif "license" in values and subject in produced:
+        work = Work(id=subject, **_read(subject, rows, _WORK))
+        license_id = base_license(work, subject in produced)
+        if license_id is not None and subject in produced:
             raise SemanticError(
                 f"work '{subject}' is produced by an action but declares a license"
             )
-        add_work(graph, Work(id=subject, **values))
+        work.license, work.origin = license_id, Origin.USER_DECLARED
+        add_work(graph, work)
     for subject, rows in rows_of.items():
         kind = _ACTION_CLASSES.get(classes[subject])
         if kind is None:

@@ -45,6 +45,7 @@ class UnknownLicense(KBError):
 
 
 class Usage(Enum):
+    __hash__ = object.__hash__  # by identity, as the model's hot enums
     USE = "use"
     MODIFY = "modify"
     REDISTRIBUTE = "redistribute"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .reports import Report, ReportCode, render
 
@@ -44,6 +44,8 @@ class CycleIntroduced(GraphError):
 
 
 class WorkType(Enum):
+    # Members are singletons: identity hashing is exact and skips `Enum.__hash__`.
+    __hash__ = object.__hash__
     SOFTWARE = "software"
     DATASET = "dataset"
     MODEL = "model"
@@ -53,6 +55,7 @@ class WorkType(Enum):
 class WorkForm(Enum):
     """Concrete distribution forms plus one bare placeholder per category."""
 
+    __hash__ = object.__hash__
     CODE = "code"
     WEIGHTS = "weights"
     CORPUS = "corpus"
@@ -83,6 +86,7 @@ class Origin(Enum):
 
 
 class ActionKind(Enum):
+    __hash__ = object.__hash__
     COPY = "copy"
     COMBINE = "combine"
     MODIFY = "modify"
@@ -108,6 +112,7 @@ class PublishManner(Enum):
 
 
 class EdgeKind(Enum):
+    __hash__ = object.__hash__
     MIXWORK = "mixwork"
     SUBWORK = "subwork"
     AUXWORK = "auxwork"
@@ -148,8 +153,7 @@ class Work:
     origin: Origin = Origin.USER_DECLARED
 
 
-@dataclass(frozen=True, slots=True)
-class ActionInput:
+class ActionInput(NamedTuple):
     work: str
     role: InputRole = InputRole.PRIMARY
 
@@ -168,8 +172,7 @@ class ActionNode:
     copublish: set[str] = field(default_factory=set)
 
 
-@dataclass(frozen=True, slots=True)
-class DependencyEdge:
+class DependencyEdge(NamedTuple):
     """Edge from an ingredient work to the work that contains or uses it."""
 
     kind: EdgeKind

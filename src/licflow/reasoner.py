@@ -9,8 +9,8 @@ derives the usage rights each action needs from the works it touches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Optional
 
 from .kb import (
     KnowledgeBase,
@@ -23,6 +23,7 @@ from .kb import (
     usage_requirement,
 )
 from .model import (
+    ActionInput,
     ActionKind,
     ActionNode,
     ArityViolation,
@@ -42,9 +43,11 @@ from .model import (
 # standing rather than blocking the analysis.
 DEFAULT_LICENSE = "Unlicense"
 
+# Builds a record from a tuple of its fields, skipping its Python `__new__`.
+_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class RulingRecord:
+
+class RulingRecord(NamedTuple):
     """One license rule that fired for a work, via one relied-upon input."""
 
     work: str
@@ -57,8 +60,7 @@ class RulingRecord:
         return f"rul:{self.work}:{self.relied_work}:{self.rule}"
 
 
-@dataclass(frozen=True, slots=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """One usage right an action needs from one work it depends on."""
 
     action: str
@@ -68,10 +70,7 @@ class RequestRecord:
 
     @property
     def id(self) -> str:
-        return (
-            f"req:{self.action}:{self.source_work}:"
-            f"{self.target_work}:{self.usage.value}"
-        )
+        return f"req:{self.action}:{self.source_work}:{self.target_work}:{self.usage.value}"
 
 
 @dataclass(frozen=True)
@@ -105,12 +104,7 @@ _KIND_USAGES = {
 _MANNER_USAGES = {
     PublishManner.INTERNAL: (Usage.USE,),
     PublishManner.SHARE: (Usage.USE, Usage.REDISTRIBUTE),
-    PublishManner.SELL: (
-        Usage.USE,
-        Usage.REDISTRIBUTE,
-        Usage.COMMERCIAL,
-        Usage.SUBLICENSE,
-    ),
+    PublishManner.SELL: (Usage.USE, Usage.REDISTRIBUTE, Usage.COMMERCIAL, Usage.SUBLICENSE),
 }
 
 
@@ -123,39 +117,40 @@ def action_usages(action: ActionNode) -> tuple[Usage, ...]:
     return _KIND_USAGES[action.kind]
 
 
+_AUXILIARY_KINDS = (ActionKind.GENERATE, ActionKind.DISTILL, ActionKind.EMBED)
+
+
+def _edge_kind(action: ActionNode, inp: ActionInput) -> EdgeKind:
+    """How one input of a structurally valid action goes into its output."""
+    if action.kind is ActionKind.REGISTER_LICENSE:
+        return EdgeKind.PROVENANCE
+    if inp.role is InputRole.TRAINING_DATA:
+        return EdgeKind.SUBWORK if inp.work in action.copublish else EdgeKind.AUXWORK
+    if inp.role is InputRole.AUXILIARY or action.kind in _AUXILIARY_KINDS:
+        return EdgeKind.AUXWORK
+    return EdgeKind.MIXWORK
+
+
 def derive_compositional(graph: WorkflowGraph) -> WorkflowGraph:
     """Attach one dependency edge per action input, typed by action kind."""
-    edges: set[DependencyEdge] = set()
-    for action in graph.actions.values():
-        out = action.output
-        primary = next(
-            inp.work for inp in action.inputs if inp.role is InputRole.PRIMARY
-        )
-        if action.kind is ActionKind.REGISTER_LICENSE:
-            edges.add(DependencyEdge(EdgeKind.PROVENANCE, primary, out))
-            continue
-        if action.kind is ActionKind.COMBINE:
-            for inp in action.inputs:
-                if inp.role is InputRole.PRIMARY:
-                    edges.add(DependencyEdge(EdgeKind.MIXWORK, inp.work, out))
-        elif action.kind in (ActionKind.GENERATE, ActionKind.DISTILL, ActionKind.EMBED):
-            edges.add(DependencyEdge(EdgeKind.AUXWORK, primary, out))
-        else:
-            edges.add(DependencyEdge(EdgeKind.MIXWORK, primary, out))
-        if action.kind is ActionKind.TRAIN:
-            for inp in action.inputs:
-                if inp.role is InputRole.TRAINING_DATA:
-                    kind = (
-                        EdgeKind.SUBWORK
-                        if inp.work in action.copublish
-                        else EdgeKind.AUXWORK
-                    )
-                    edges.add(DependencyEdge(kind, inp.work, out))
-        for inp in action.inputs:
-            if inp.role is InputRole.AUXILIARY:
-                edges.add(DependencyEdge(EdgeKind.AUXWORK, inp.work, out))
+    edges = {
+        DependencyEdge(_edge_kind(action, inp), inp.work, action.output)
+        for action in graph.actions.values()
+        for inp in action.inputs
+    }
     graph.edges = sorted(edges, key=lambda e: (e.kind.value, e.source, e.target))
     return graph
+
+
+def base_license(work: Work, produced: bool) -> Optional[str]:
+    """The license a work starts reasoning with: a derived one is derived again.
+
+    The reasoner derives every produced work's license but gives a root
+    only the default, so any other license on a root was stated by hand.
+    """
+    if work.origin is Origin.DERIVED and (produced or work.license == DEFAULT_LICENSE):
+        return None
+    return work.license
 
 
 def _declared_license(work: Work) -> Optional[str]:
@@ -173,10 +168,10 @@ def _normalized_kind(action: ActionNode) -> ActionKind:
 
 
 def _relied_sources(
-    graph: WorkflowGraph,
     action: ActionNode,
+    action_kind: ActionKind,
     mix_parents: dict[str, list[str]],
-    kinds: dict[str, ActionKind],
+    through: dict[str, ActionKind],
 ) -> list[tuple[str, ActionKind]]:
     """Every work this action relies on, with the kind that shaped it.
 
@@ -187,9 +182,11 @@ def _relied_sources(
     the kind; over pure pass-throughs the step nearest the relied work
     does. Walking backwards, a state keeps its kind unless that kind is a
     copy or publish, in which case the producer's kind replaces it. Each
-    (work, kind) state is visited once.
+    (work, kind) state is visited once. `action_kind` is the action's own;
+    `through` maps each produced work without a declared license to the
+    kind of its producer.
     """
-    stack = [(inp.work, kinds[action.id]) for inp in action.inputs]
+    stack = [(inp.work, action_kind) for inp in action.inputs]
     seen: set[tuple[str, ActionKind]] = set()
     results: list[tuple[str, ActionKind]] = []
     while stack:
@@ -199,11 +196,11 @@ def _relied_sources(
         seen.add(state)
         results.append(state)
         work_id, kind = state
-        producer = graph.producers.get(work_id)
-        if _declared_license(graph.works[work_id]) is not None or producer is None:
+        producer_kind = through.get(work_id)
+        if producer_kind is None:
             continue
         if kind in _IDENTITY_KINDS:
-            kind = kinds[producer.id]
+            kind = producer_kind
         for parent in mix_parents.get(work_id, ()):
             stack.append((parent, kind))
     return results
@@ -244,11 +241,8 @@ def settle_license(
     declared = _declared_license(work)
     if declared is not None:
         return declared, None
-    if (
-        producer is not None
-        and producer.kind is ActionKind.REGISTER_LICENSE
-        and producer.license_to_register is not None
-    ):
+    # Only a register_license action carries a license to register.
+    if producer is not None and producer.license_to_register is not None:
         return producer.license_to_register, None
     none_allowed, compat_only = relicense_constraints(rulings, kb)
 
@@ -320,17 +314,18 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
     to and per (kind, output form) of the actions relying on it.
     """
     mix_parents = edge_parents(graph, (EdgeKind.MIXWORK,))
-    kinds = {aid: _normalized_kind(action) for aid, action in graph.actions.items()}
-    # Per relied work: its distinct (kind, output form) groups, and the
-    # output and group index of each action relying on it, in action order.
-    relied_by: dict[str, tuple[list, list[tuple[str, int]]]] = {}
+    kinds = {a.output: _normalized_kind(a) for a in graph.actions.values()}
+    through = {w: k for w, k in kinds.items() if _declared_license(graph.works[w]) is None}
+    # Per relied work: the index of each distinct (kind, output form) group,
+    # and the output and group index of each action relying on it, in order.
+    relied_by: dict[str, tuple[dict, list[tuple[str, int]]]] = {}
     for action in toposort_actions(graph):
         out_form = graph.works[action.output].form
-        for source, kind in _relied_sources(graph, action, mix_parents, kinds):
-            groups, outputs = relied_by.setdefault(source, ([], []))
-            if (kind, out_form) not in groups:
-                groups.append((kind, out_form))
-            outputs.append((action.output, groups.index((kind, out_form))))
+        relied = _relied_sources(action, kinds[action.output], mix_parents, through)
+        for source, kind in relied:
+            groups, outputs = relied_by.get(source) or relied_by.setdefault(source, ({}, []))
+            group = groups.setdefault((kind, out_form), len(groups))
+            outputs.append((action.output, group))
     by_work = rulings_by_work(graph)
     known = {(r.work, r.relied_work, r.rule) for r in graph.rulings}
     matched: dict[str, set[str]] = {source: set() for source in relied_by}
@@ -353,6 +348,8 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
                     match_rules(kb, license_id, kind, work.form, out_form, fuzz)
                     for kind, out_form in groups
                 ]
+                if not any(hits):
+                    continue
                 for output, group in outputs:
                     for rule in hits[group]:
                         key = (output, source, rule.id)
@@ -410,22 +407,18 @@ def derive_requests(graph: WorkflowGraph, kb: KnowledgeBase) -> WorkflowGraph:
             for license_id in members.intersection(kb.licenses)
         ]
         waived[wid] = bool(answers) and all(a is Requirement.WAIVED for a in answers)
-    # Keys made here are distinct, so only requests already held can repeat.
-    known = {
-        (r.action, r.source_work, r.target_work, r.usage) for r in graph.requests
-    }
+    # Requests made here are distinct, so only those already held can repeat.
+    requests, known = graph.requests, set(graph.requests)
     for action in toposort_actions(graph):
         usages = sorted(action_usages(action), key=lambda u: u.value)
+        # The usages asked of a target, by whether it waives sublicensing.
+        asked = (usages, [u for u in usages if u is not Usage.SUBLICENSE])
         for source in dict.fromkeys(inp.work for inp in action.inputs):
             for target in closures[source]:
-                for usage in usages:
-                    if usage is Usage.SUBLICENSE and waived[target]:
-                        continue
-                    if known and (action.id, source, target, usage) in known:
-                        continue
-                    graph.requests.append(
-                        RequestRecord(action.id, source, target, usage)
-                    )
+                for usage in asked[waived[target]]:
+                    request = _new(RequestRecord, (action.id, source, target, usage))
+                    if not known or request not in known:
+                        requests.append(request)
     return graph
 
 
@@ -434,21 +427,18 @@ def run_all(
 ) -> tuple[WorkflowGraph, FixpointStats]:
     """Run every derivation stage on a copy of the graph."""
     # Derived records and licenses are dropped; the graph maps are rebuilt.
-    works = {wid: replace(work) for wid, work in graph.works.items()}
-    for work in works.values():
-        if work.origin is Origin.DERIVED:
-            work.license, work.origin = None, Origin.USER_DECLARED
+    works = {
+        wid: Work(wid, w.name, w.work_type, w.form, base_license(w, wid in graph.producers))
+        for wid, w in graph.works.items()
+    }
     actions = {
-        aid: replace(act, inputs=list(act.inputs), copublish=set(act.copublish))
-        for aid, act in graph.actions.items()
+        aid: ActionNode(aid, a.kind, list(a.inputs), a.output, a.publish_manner,
+                        a.publish_form, a.license_to_register, set(a.copublish))
+        for aid, a in graph.actions.items()
     }
     result = WorkflowGraph(works=works, actions=actions)
     derive_compositional(result)
     iterations = _ruling_fixpoint(result, kb, fuzz)
     determine_licenses(result, kb)
     derive_requests(result, kb)
-    stats = FixpointStats(
-        iterations=iterations,
-        records_created=len(result.rulings) + len(result.requests),
-    )
-    return result, stats
+    return result, FixpointStats(iterations, len(result.rulings) + len(result.requests))

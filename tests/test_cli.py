@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 
 import licflow
 from licflow import ActionKind, ExitClass, bundled_rules_dir, serialize_graph
-from licflow import analyzer, model, reasoner
+from licflow import analyzer, cli, model, reasoner
 from licflow.cli import DISCLAIMER, EXIT_USAGE, KB_ENV_VAR, main
 
 from _helpers import action, graph_of, publish, work
@@ -301,6 +302,26 @@ def test_whole_graph_grouping_happens_once_per_verdict(tmp_path, monkeypatch, ca
     assert counts[0] == counts[1]
 
 
+def test_the_parsed_graph_is_freed_before_analysis(setting_paths, monkeypatch, capsys):
+    # Only the reasoned copy is read after `run_all`; keeping the parsed
+    # graph alive as well raises the verdict's peak memory.
+    parsed, alive = [], []
+
+    def reasoning(graph, *rest):
+        parsed.append(weakref.ref(graph))
+        return reasoner.run_all(graph, *rest)
+
+    def analysing(*args):
+        alive.append(parsed[0]() is not None)
+        return analyzer.analyze_publication(*args)
+
+    monkeypatch.setattr(cli, "run_all", reasoning)
+    monkeypatch.setattr(cli, "analyze_publication", analysing)
+    assert main(["analyze", str(setting_paths["iv"]), "--output", "structured"]) > 0
+    capsys.readouterr()
+    assert alive and not any(alive)
+
+
 def test_analyze_rejects_a_missing_file(tmp_path, capsys):
     code = main(["analyze", str(tmp_path / "absent.mgw")])
     assert code == EXIT_USAGE
@@ -388,6 +409,68 @@ def test_analyze_stops_on_structural_failures(tmp_path, capsys):
     assert code == ExitClass.ERRORS.value
     assert "workflow validation failed" in out
     assert "E1" in out
+
+
+def test_an_unpublished_target_is_refused_before_structural_checks(
+    tmp_path, capsys
+):
+    path = tmp_path / "mismatch.mgw"
+    path.write_text(MISMATCHED_WORKFLOW, encoding="utf-8")
+    code = main(["analyze", str(path), "--target", "nosuch"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == (
+        "licflow: error: work 'nosuch' is not the output of a publish action\n"
+    )
+
+
+SOLD_LIBRARY = """\
+@prefix mg: <urn:licflow:v1#> .
+
+mg:L a mg:Work ;
+   mg:name "Library" ;
+   mg:workType "software" ;
+   mg:workForm "code" ;
+   mg:hasLicense "GPL-3.0" .
+
+mg:M a mg:Work ;
+   mg:name "Modified" ;
+   mg:workType "software" ;
+   mg:workForm "code" .
+
+mg:P a mg:Work ;
+   mg:name "Product" ;
+   mg:workType "software" ;
+   mg:workForm "code" .
+
+mg:tune a mg:ModifyAction ;
+   mg:hasInput mg:L ;
+   mg:hasOutput mg:M .
+
+mg:sell a mg:PublishAction ;
+   mg:hasInput mg:M ;
+   mg:hasOutput mg:P ;
+   mg:publishManner "sell" .
+"""
+
+
+def test_a_root_marked_derived_keeps_its_license(tmp_path, capsys):
+    # No action makes L, so its license is not the reasoner's to derive:
+    # an origin line written by hand does not take GPL-3.0 away from it.
+    marked = SOLD_LIBRARY.replace(
+        'mg:hasLicense "GPL-3.0" .', 'mg:hasLicense "GPL-3.0" ;\n   mg:origin "derived" .'
+    )
+    found = []
+    for text in (SOLD_LIBRARY, marked):
+        path = tmp_path / "sold.mgw"
+        path.write_text(text, encoding="utf-8")
+        code = main(["analyze", str(path), "--output", "structured"])
+        found.append((code, _structured_multiset(capsys.readouterr().out)))
+    assert found[0] == found[1]
+    code, reports = found[0]
+    assert code == ExitClass.WARNINGS.value
+    assert {c for c, _, _ in reports} == {"W5", "N1", "N2", "N3"}
 
 
 def test_dot_output_of_a_structural_failure_is_a_graph(tmp_path, capsys):

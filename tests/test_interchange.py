@@ -7,6 +7,7 @@ from dataclasses import fields
 import pytest
 
 from licflow import (
+    DEFAULT_LICENSE,
     ActionKind,
     ActionNode,
     DependencyEdge,
@@ -428,6 +429,18 @@ def test_derived_marker_resets_the_license_on_parse():
     graph = parse_workflow(doc(WORK_A, derived_b, TUNE))
     assert graph.works["B"].license is None
     assert graph.works["B"].origin is Origin.USER_DECLARED
+
+
+@pytest.mark.parametrize("license_id, kept", [("MIT", "MIT"), (DEFAULT_LICENSE, None)])
+def test_derived_marker_on_a_root_drops_only_the_default(license_id, kept):
+    # The reasoner gives an unlicensed root the default and nothing else,
+    # so only that license is its to derive again.
+    derived_a = WORK_A.replace(
+        '"MIT" .', f'"{license_id}" ;\n   mg:origin "derived" .'
+    )
+    graph = parse_workflow(doc(derived_a, WORK_B, TUNE))
+    assert graph.works["A"].license == kept
+    assert graph.works["A"].origin is Origin.USER_DECLARED
 
 
 def test_structural_faults_are_wrapped_as_semantic_errors():

@@ -772,6 +772,20 @@ def test_run_all_resets_previously_derived_licenses(seed_kb):
     assert reasoned.works["B"].license != "Llama2"
 
 
+def test_run_all_keeps_a_root_license_marked_derived(seed_kb):
+    graph = graph_of(
+        [work("A", license="GPL-3.0"), work("B")],
+        [action("tune", ActionKind.MODIFY, ["A"], "B")],
+    )
+    declared, _ = run_all(graph, seed_kb)
+    graph.works["A"].origin = Origin.DERIVED
+    reasoned, _ = run_all(graph, seed_kb)
+    assert reasoned.works["A"].license == "GPL-3.0"
+    assert reasoned.works["A"].origin is Origin.USER_DECLARED
+    assert reasoned.rulings == declared.rulings
+    assert reasoned.requests == declared.requests
+
+
 def _copy_rule_kb():
     return kb_of(
         profile("L1",
@@ -854,6 +868,18 @@ def test_publish_without_a_manner_is_an_arity_violation():
         action_usages(bare)
 
 
+# Field names and `id` string of each record type.
+_RECORD_CONTRACT = {
+    RulingRecord: (("work", "relied_work", "rule", "output_def"), "rul:B:A:r"),
+    RequestRecord: (
+        ("action", "source_work", "target_work", "usage"),
+        "req:act:A:B:sublicense",
+    ),
+    DependencyEdge: (("kind", "source", "target"), None),
+    ActionInput: (("work", "role"), None),
+}
+
+
 @pytest.mark.parametrize(
     "record",
     [
@@ -864,13 +890,23 @@ def test_publish_without_a_manner_is_an_arity_violation():
     ],
 )
 def test_slotted_records_survive_copy_and_pickle(record):
+    # Records are immutable named tuples: fields by name, equal to the
+    # plain tuple of their fields, and no per-instance `__dict__`.
+    fields, record_id = _RECORD_CONTRACT[type(record)]
+    assert record._fields == fields
+    assert tuple(getattr(record, name) for name in fields) == record
+    assert getattr(record, "id", None) == record_id
     assert not hasattr(record, "__dict__")
-    twins = [copy.copy(record), copy.deepcopy(record)]
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    twins = [copy.copy(record), copy.deepcopy(record), type(record)(*record)]
     twins += [
         pickle.loads(pickle.dumps(record, protocol))
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
     ]
     for twin in twins:
+        assert type(twin) is type(record)
         assert twin == record
         assert hash(twin) == hash(record)
 
