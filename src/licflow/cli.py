@@ -264,10 +264,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: each parse makes a fresh namespace, so no call
+# sees another's options.
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else ExitClass.CLEAN.value
     try:

@@ -249,99 +249,105 @@ def are_compatible(
     return min(intersection)
 
 
-def _schema(kind: type, *skip: str) -> dict[str, tuple[type, bool, bool]]:
-    """Each .mgl key of a dataclass's fields, with how it is read.
+# Each .mgl key's item type, the value each of its tokens reads as (None
+# for free text), and whether it is a set.
+_Keys = dict[str, tuple[type, Optional[dict[str, object]], bool]]
+_Schema = tuple[_Keys, frozenset[str]]
 
-    A key gives its field's type (or the item type of a set, stated as
-    comma-separated items), whether it is a set, and whether it is
-    required because its field has no default.
+
+def _schema(kind: type, *skip: str) -> _Schema:
+    """Each .mgl key of a dataclass's fields, and the keys it requires.
+
+    A key is read as its field's type, or as comma-separated items of a
+    set's item type. It is required when its field has no default.
     """
     hints = get_type_hints(kind)
-    schema = {}
+    keys: _Keys = {}
+    required = set()
     for f in fields(kind):
         if f.name in skip:
             continue
         hint = hints[f.name]
         many = get_origin(hint) is set
-        required = f.default is MISSING and f.default_factory is MISSING
-        schema[f.name] = (get_args(hint)[0] if many else hint, many, required)
-    return schema
+        item = get_args(hint)[0] if many else hint
+        tokens = {"true": True, "false": False} if item is bool else None
+        if issubclass(item, Enum):
+            tokens = {member.value: member for member in item}
+        keys[f.name] = (item, tokens, many)
+        if f.default is MISSING and f.default_factory is MISSING:
+            required.add(f.name)
+    return keys, frozenset(required)
 
 
 _PROFILE_SCHEMA = _schema(LicenseProfile, "rules", "metadata")
 _RULE_SCHEMA = _schema(Rule, "license")
-_PROFILE_KEYS = _PROFILE_SCHEMA.keys()
-_RULE_KEYS = _RULE_SCHEMA.keys()
+_PROFILE_KEYS = _PROFILE_SCHEMA[0].keys()
+_RULE_KEYS = _RULE_SCHEMA[0].keys()
 
 
-def _value(kind: type, raw: str, where: str) -> object:
-    """One value read as text, a boolean or an enum member."""
-    if kind is str:
-        return raw
-    if kind is bool:
-        if raw not in ("true", "false"):
-            raise ParseError(f"{where}: expected true or false, got {raw!r}")
-        return raw == "true"
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ParseError(f"{where}: unknown token {raw!r}") from None
+class _SectionFault(Exception):
+    """A fault in one section; the caller names the file and section."""
 
 
-def _read(
-    schema: dict[str, tuple[type, bool, bool]], entries: dict[str, str], where: str
-) -> dict[str, object]:
-    """The fields a section fills; a key left out keeps its field's default."""
-    for key in entries:
-        if key not in schema:
-            raise ParseError(f"{where}: unknown key {key!r}")
-    for key, (_, _, required) in schema.items():
-        if required and key not in entries:
-            raise ParseError(f"{where}: missing key {key!r}")
+def _read(schema: _Schema, entries: dict[str, str]) -> dict[str, object]:
+    """The fields a section fills; a key left out keeps its field's default.
+
+    Faults are reported in this order: an unknown key, a missing key,
+    then each value in field order.
+    """
+    keys, required = schema
+    if not entries.keys() <= keys.keys():
+        unknown = next(key for key in entries if key not in keys)
+        raise _SectionFault(f": unknown key {unknown!r}")
+    if not entries.keys() >= required:
+        missing = next(k for k in keys if k in required and k not in entries)
+        raise _SectionFault(f": missing key {missing!r}")
     values: dict[str, object] = {}
-    for key, (kind, many, _) in schema.items():
-        if key in entries:
-            raw, at = entries[key], f"{where} {key}"
+    for key, (kind, tokens, many) in keys.items():
+        raw = entries.get(key)
+        if raw is None:
+            continue
+        try:
             if many:
-                tokens = (token.strip() for token in raw.split(","))
-                values[key] = {_value(kind, token, at) for token in tokens if token}
+                items = [item for item in map(str.strip, raw.split(",")) if item]
+                values[key] = {tokens[i] for i in items} if tokens else set(items)
             else:
-                values[key] = _value(kind, raw, at)
+                values[key] = raw if tokens is None else tokens[raw]
+        except KeyError as err:
+            fault = "expected true or false, got" if kind is bool else "unknown token"
+            raise _SectionFault(f" {key}: {fault} {err.args[0]!r}") from None
     return values
 
 
-class _SectionReader:
+def _sections(path: Path, text: str) -> list[tuple[str, dict[str, str]]]:
     """Splits an .mgl file into (section name, key/value map) pairs."""
-
-    def __init__(self, path: Path, text: str):
-        self.path = path
-        self.sections: list[tuple[str, dict[str, str]]] = []
-        current: Optional[dict[str, str]] = None
-        for lineno, raw_line in enumerate(text.splitlines(), start=1):
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1].strip()
-                if name not in ("profile", "rule"):
-                    raise ParseError(f"{path}:{lineno}: unknown section [{name}]")
-                current = {}
-                self.sections.append((name, current))
-                continue
-            if current is None:
-                raise ParseError(f"{path}:{lineno}: entry outside any section")
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in current:
-                raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
-            current[key] = value
+    sections: list[tuple[str, dict[str, str]]] = []
+    current: Optional[dict[str, str]] = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        if line[0] == "[" and line[-1] == "]":
+            name = line[1:-1].strip()
+            if name != "profile" and name != "rule":
+                raise ParseError(f"{path}:{lineno}: unknown section [{name}]")
+            current = {}
+            sections.append((name, current))
+            continue
+        if current is None:
+            raise ParseError(f"{path}:{lineno}: entry outside any section")
+        # The line is stripped, so only the blanks around `=` are left.
+        key, equals, value = line.partition("=")
+        if not equals:
+            raise ParseError(f"{path}:{lineno}: expected key = value")
+        key = key.rstrip()
+        if key in current:
+            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
+        current[key] = value.lstrip()
+    return sections
 
 
-def _build_profile(path: Path, entries: dict[str, str]) -> LicenseProfile:
-    where = f"{path} [profile]"
+def _build_profile(entries: dict[str, str]) -> LicenseProfile:
     stated: dict[str, str] = {}
     metadata: dict[str, str] = {}
     for key, value in entries.items():
@@ -349,29 +355,26 @@ def _build_profile(path: Path, entries: dict[str, str]) -> LicenseProfile:
             metadata[key[len("meta."):]] = value
         else:
             stated[key] = value
-    profile = LicenseProfile(**_read(_PROFILE_SCHEMA, stated, where), metadata=metadata)
+    profile = LicenseProfile(**_read(_PROFILE_SCHEMA, stated), metadata=metadata)
 
     overlap = profile.granted & profile.reserved
     if overlap:
         names = ", ".join(sorted(u.value for u in overlap))
-        raise ParseError(f"{where}: usages both granted and reserved: {names}")
+        raise _SectionFault(f": usages both granted and reserved: {names}")
     if profile.copyleft == profile.permissive:
-        raise ParseError(
-            f"{where}: exactly one of copyleft and permissive must be true"
-        )
+        raise _SectionFault(": exactly one of copyleft and permissive must be true")
     if profile.id not in profile.compatible_with:
-        raise ParseError(f"{where}: compatible_with must include {profile.id!r} itself")
+        raise _SectionFault(f": compatible_with must include {profile.id!r} itself")
     return profile
 
 
-def _build_rule(path: Path, entries: dict[str, str], license_id: str) -> Rule:
-    where = f"{path} [rule {entries.get('id', '<missing id>')}]"
-    rule = Rule(license=license_id, **_read(_RULE_SCHEMA, entries, where))
+def _build_rule(entries: dict[str, str], license_id: str) -> Rule:
+    rule = Rule(license=license_id, **_read(_RULE_SCHEMA, entries))
 
     if not (
         rule.trigger_actions and rule.trigger_input_forms and rule.trigger_output_forms
     ):
-        raise ParseError(f"{where}: triggers cannot be empty")
+        raise _SectionFault(": triggers cannot be empty")
     # A set keeps no order, so the first misplaced restriction by value is named.
     for stray, scope, listed in (
         (rule.publish_restrictions & _USE_SCOPED, "use", "publish"),
@@ -379,12 +382,12 @@ def _build_rule(path: Path, entries: dict[str, str], license_id: str) -> Rule:
     ):
         if stray:
             value = min(r.value for r in stray)
-            raise ParseError(
-                f"{where}: {value!r} is {scope} scoped, not a {listed} restriction"
+            raise _SectionFault(
+                f": {value!r} is {scope} scoped, not a {listed} restriction"
             )
     forms = rule.trigger_input_forms | rule.trigger_output_forms
     if rule.fuzz_only and not all(form.is_bare for form in forms):
-        raise ParseError(f"{where}: fuzz_only rules must use bare forms")
+        raise _SectionFault(": fuzz_only rules must use bare forms")
     return rule
 
 
@@ -393,15 +396,21 @@ def _parse_file(path: Path) -> LicenseProfile:
         text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    reader = _SectionReader(path, text)
-    if not reader.sections or reader.sections[0][0] != "profile":
+    sections = _sections(path, text)
+    if not sections or sections[0][0] != "profile":
         raise ParseError(f"{path}: file must start with a [profile] section")
-    if sum(1 for name, _ in reader.sections if name == "profile") > 1:
+    if any(name == "profile" for name, _ in sections[1:]):
         raise ParseError(f"{path}: only one [profile] section per file")
-    profile = _build_profile(path, reader.sections[0][1])
-    for name, entries in reader.sections[1:]:
-        if name == "rule":
-            profile.rules.append(_build_rule(path, entries, profile.id))
+    try:
+        profile = _build_profile(sections[0][1])
+    except _SectionFault as fault:
+        raise ParseError(f"{path} [profile]{fault}") from None
+    for _, entries in sections[1:]:
+        try:
+            profile.rules.append(_build_rule(entries, profile.id))
+        except _SectionFault as fault:
+            rule_id = entries.get("id", "<missing id>")
+            raise ParseError(f"{path} [rule {rule_id}]{fault}") from None
     return profile
 
 

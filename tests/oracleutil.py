@@ -1,35 +1,42 @@
 """Naive reference implementations used to cross-check the engine.
 
-Everything here trades speed for obviousness: rules are matched by
-scanning the whole rule table, reliance paths are re-enumerated from
-scratch on every round, and the fixpoint simply loops until a round
-adds nothing. The engine must agree with these functions record for
+Everything here trades speed for obviousness: rules files are read a
+line at a time, rules are matched by scanning the whole rule table,
+reliance paths are re-enumerated from scratch on every round, and the
+fixpoint simply loops until a round adds nothing. The engine must agree with these functions record for
 record.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from dataclasses import MISSING, fields
+from pathlib import Path
+from typing import Iterable, Optional, get_args, get_origin, get_type_hints
 
 from licflow import (
     ActionKind,
     ActionNode,
     CycleIntroduced,
+    DanglingReference,
     InputRole,
     KnowledgeBase,
     LicenseFramework,
+    LicenseProfile,
     Origin,
+    ParseError,
     PublishManner,
     RelicensePolicy,
     Restriction,
     Revocability,
+    Rule,
     Usage,
     WorkflowGraph,
     WorkflowSyntaxError,
     WorkForm,
 )
 from licflow.interchange import _NAME_RE
+from licflow.kb import _USE_SCOPED
 
 DEFAULT = "Unlicense"
 
@@ -81,6 +88,167 @@ def naive_tokens(text: str) -> list[tuple[str, str, int, int]]:
         line += 1
     tokens.append(("EOF", "", line, 1))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Rules files
+# ---------------------------------------------------------------------------
+
+
+def _naive_schema(kind: type, *skip: str) -> dict[str, tuple[type, bool, bool]]:
+    """(item type, is a set, is required) of each key, read off the fields."""
+    hints = get_type_hints(kind)
+    schema = {}
+    for f in fields(kind):
+        if f.name in skip:
+            continue
+        hint = hints[f.name]
+        many = get_origin(hint) is set
+        required = f.default is MISSING and f.default_factory is MISSING
+        schema[f.name] = (get_args(hint)[0] if many else hint, many, required)
+    return schema
+
+
+_NAIVE_PROFILE_SCHEMA = _naive_schema(LicenseProfile, "rules", "metadata")
+_NAIVE_RULE_SCHEMA = _naive_schema(Rule, "license")
+
+
+def _naive_value(kind: type, raw: str, where: str) -> object:
+    if kind is str:
+        return raw
+    if kind is bool:
+        if raw not in ("true", "false"):
+            raise ParseError(f"{where}: expected true or false, got {raw!r}")
+        return raw == "true"
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ParseError(f"{where}: unknown token {raw!r}") from None
+
+
+def _naive_read(schema: dict, entries: dict[str, str], where: str) -> dict[str, object]:
+    """Unknown keys, then missing ones, then each value in field order."""
+    for key in entries:
+        if key not in schema:
+            raise ParseError(f"{where}: unknown key {key!r}")
+    for key, (_, _, required) in schema.items():
+        if required and key not in entries:
+            raise ParseError(f"{where}: missing key {key!r}")
+    values: dict[str, object] = {}
+    for key, (kind, many, _) in schema.items():
+        if key in entries:
+            raw, at = entries[key], f"{where} {key}"
+            if many:
+                tokens = (token.strip() for token in raw.split(","))
+                values[key] = {_naive_value(kind, token, at) for token in tokens if token}
+            else:
+                values[key] = _naive_value(kind, raw, at)
+    return values
+
+
+def _naive_sections(path: Path, text: str) -> list[tuple[str, dict[str, str]]]:
+    """(section name, key/value map) pairs, one `str.splitlines` line at a time."""
+    sections: list[tuple[str, dict[str, str]]] = []
+    current: Optional[dict[str, str]] = None
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            if name not in ("profile", "rule"):
+                raise ParseError(f"{path}:{lineno}: unknown section [{name}]")
+            current = {}
+            sections.append((name, current))
+            continue
+        if current is None:
+            raise ParseError(f"{path}:{lineno}: entry outside any section")
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key in current:
+            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
+        current[key] = value
+    return sections
+
+
+def _naive_profile(path: Path, entries: dict[str, str]) -> LicenseProfile:
+    where = f"{path} [profile]"
+    stated = {k: v for k, v in entries.items() if not k.startswith("meta.")}
+    metadata = {k[len("meta."):]: v for k, v in entries.items() if k.startswith("meta.")}
+    values = _naive_read(_NAIVE_PROFILE_SCHEMA, stated, where)
+    profile = LicenseProfile(**values, metadata=metadata)
+    overlap = profile.granted & profile.reserved
+    if overlap:
+        names = ", ".join(sorted(u.value for u in overlap))
+        raise ParseError(f"{where}: usages both granted and reserved: {names}")
+    if profile.copyleft == profile.permissive:
+        raise ParseError(f"{where}: exactly one of copyleft and permissive must be true")
+    if profile.id not in profile.compatible_with:
+        raise ParseError(f"{where}: compatible_with must include {profile.id!r} itself")
+    return profile
+
+
+def _naive_rule(path: Path, entries: dict[str, str], license_id: str) -> Rule:
+    where = f"{path} [rule {entries.get('id', '<missing id>')}]"
+    rule = Rule(license=license_id, **_naive_read(_NAIVE_RULE_SCHEMA, entries, where))
+    if not (
+        rule.trigger_actions and rule.trigger_input_forms and rule.trigger_output_forms
+    ):
+        raise ParseError(f"{where}: triggers cannot be empty")
+    for stray, scope, listed in (
+        (rule.publish_restrictions & _USE_SCOPED, "use", "publish"),
+        (rule.use_restrictions - _USE_SCOPED, "publish", "use"),
+    ):
+        if stray:
+            value = min(r.value for r in stray)
+            raise ParseError(
+                f"{where}: {value!r} is {scope} scoped, not a {listed} restriction"
+            )
+    forms = rule.trigger_input_forms | rule.trigger_output_forms
+    if rule.fuzz_only and not all(form.is_bare for form in forms):
+        raise ParseError(f"{where}: fuzz_only rules must use bare forms")
+    return rule
+
+
+def naive_load_kb(paths: list[Path]) -> KnowledgeBase:
+    """The knowledge base the rules files give, read one line at a time.
+
+    Every value is converted by calling its enum, and every location
+    string is built whether a fault is raised or not.
+    """
+    files: list[Path] = []
+    for path in paths:
+        if path.is_dir():
+            files.extend(sorted(path.glob("*.mgl")))
+        elif path.is_file():
+            files.append(path)
+        else:
+            raise ParseError(f"no such rules file or directory: {path}")
+    kb = KnowledgeBase()
+    for path in files:
+        try:
+            text = path.read_text(encoding="utf-8-sig")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read {path}: {exc}") from exc
+        sections = _naive_sections(path, text)
+        if not sections or sections[0][0] != "profile":
+            raise ParseError(f"{path}: file must start with a [profile] section")
+        if sum(1 for name, _ in sections if name == "profile") > 1:
+            raise ParseError(f"{path}: only one [profile] section per file")
+        profile = _naive_profile(path, sections[0][1])
+        for _, entries in sections[1:]:
+            profile.rules.append(_naive_rule(path, entries, profile.id))
+        kb.add_license(profile)
+    for profile in kb.licenses.values():
+        for ref in sorted(profile.compatible_with):
+            if ref not in kb.licenses:
+                raise DanglingReference(
+                    f"license {profile.id!r} lists unknown license {ref!r} as compatible"
+                )
+    return kb
 
 
 # ---------------------------------------------------------------------------

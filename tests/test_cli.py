@@ -9,6 +9,7 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -629,3 +630,82 @@ def test_unknown_subcommand_is_a_usage_failure(capsys):
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == ExitClass.CLEAN.value
     assert "analyze" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# one parser for every call
+# ---------------------------------------------------------------------------
+
+
+def _in_process(args: list[str], capsys) -> tuple[int, str, str]:
+    code = main(args)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_one_parser_serves_many_calls_without_leaking_options(
+    tmp_path, setting_paths, monkeypatch, capsys
+):
+    monkeypatch.delenv(KB_ENV_VAR, raising=False)
+    (tmp_path / "custom.mgl").write_text(CUSTOM_PROFILE, encoding="utf-8")
+    workflow = str(setting_paths["i"])
+    every_target = _in_process(["analyze", workflow], capsys)
+    headings = [line for line in every_target[1].splitlines() if _HEADING_LINE.match(line)]
+    assert headings == ["published work E", "published work F"]
+
+    custom = _in_process(["licenses", "--kb", str(tmp_path)], capsys)[1]
+    assert "Custom-1" in custom and "GPL-3.0" not in custom
+    bundled = _in_process(["licenses"], capsys)[1]
+    assert "GPL-3.0" in bundled and "Custom-1" not in bundled
+    assert _in_process(["analyze", workflow, "--kb", str(tmp_path)], capsys)[0] == EXIT_USAGE
+    assert _in_process(["analyze", workflow], capsys) == every_target
+
+    one_target = _in_process(["analyze", workflow, "--target", "F"], capsys)[1]
+    assert "published work E" not in one_target and "published work F" in one_target
+    assert _in_process(["analyze", workflow], capsys) == every_target
+
+    fuzz_off = _in_process(["analyze", workflow, "--fuzz", "off"], capsys)
+    assert fuzz_off != every_target
+    assert _in_process(["analyze", workflow], capsys) == every_target
+
+    assert _in_process(["analyze", workflow, "--output", "xml"], capsys)[0] == EXIT_USAGE
+    assert _in_process(["analyze", "--help"], capsys)[0] == ExitClass.CLEAN.value
+    assert _in_process(["--help"], capsys)[0] == ExitClass.CLEAN.value
+    assert _in_process(["analyze", workflow], capsys) == every_target
+
+
+def _fresh(args: list[str], env: dict[str, str]) -> tuple[int, str, str]:
+    done = subprocess.run(
+        [sys.executable, "-m", "licflow.cli", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_every_in_process_call_prints_what_a_fresh_interpreter_prints(
+    tmp_path, fixtures_dir, monkeypatch, capsys
+):
+    monkeypatch.delenv(KB_ENV_VAR, raising=False)
+    env = dict(os.environ, PYTHONPATH=str(Path(licflow.__file__).parents[1]))
+    env.pop(KB_ENV_VAR, None)
+    calls = [
+        ["analyze", str(path), "--output", mode]
+        for path in sorted(fixtures_dir.glob("*.mgw"))
+        for mode in ("human", "structured", "dot")
+    ]
+    # Two interpreters at a time, one per call.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fresh = list(pool.map(lambda args: _fresh(args, env), calls))
+    (tmp_path / "custom.mgl").write_text(CUSTOM_PROFILE, encoding="utf-8")
+    # Each call in this process follows one that set other options or
+    # stopped inside the parser.
+    detours = [
+        ["--kb", str(tmp_path)],
+        ["--target", "F"],
+        ["--fuzz", "off"],
+        ["--output", "xml"],
+        ["--help"],
+    ]
+    for index, (args, expected) in enumerate(zip(calls, fresh)):
+        _in_process(args + detours[index % len(detours)], capsys)
+        assert _in_process(args, capsys) == expected, args

@@ -211,12 +211,26 @@ def _without(text: str, key: str) -> str:
             _without(MINIMAL_PROFILE, "name") + "revocable = maybe\n",
             "[profile]: missing key 'name'",
         ),
+        # A bad value in an earlier field still comes after a missing key.
+        (
+            _without(MINIMAL_PROFILE, "intended_types").replace(
+                "model_license", "bogus_framework"
+            ),
+            "[profile]: missing key 'intended_types'",
+        ),
+        (
+            MINIMAL_PROFILE
+            + _without(RULE_BLOCK, "relicense").replace("derivative", "sculpture"),
+            "[rule Test-1-main-rule]: missing key 'relicense'",
+        ),
     ],
     ids=[
         "values-in-field-order",
         "unknown-key-first",
         "values-before-cross-field-checks",
         "missing-key-first",
+        "missing-key-before-an-earlier-bad-value",
+        "missing-rule-key-before-an-earlier-bad-value",
     ],
 )
 def test_the_first_of_two_rules_file_faults_is_reported(tmp_path, text, message):

@@ -4,7 +4,9 @@ Whatever bytes a `.mgw` workflow or a `.mgl` rules file holds, the loaders
 fail only with their own error classes, never with a stray exception. A
 graph written by `serialize_graph` parses back to itself, and the order
 of its statement blocks changes nothing `licflow analyze` prints. The
-one-pass workflow lexer agrees with the per-line oracle token for token.
+one-pass workflow lexer agrees with the per-line oracle token for token,
+and the rules reader with its per-line oracle record for record and
+fault for fault.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from licflow import (
     WorkflowSyntaxError,
     WorkForm,
     WorkType,
+    bundled_rules_dir,
     load_kb,
     parse_workflow,
     serialize_graph,
@@ -40,7 +43,7 @@ from licflow.kb import _PROFILE_KEYS, _RULE_KEYS
 
 from _helpers import action, graph_of, inputs_of, work
 from graphgen import random_graph
-from oracleutil import naive_tokens
+from oracleutil import naive_load_kb, naive_tokens
 
 # Bounded, so tier-1 stays fast, and without an example database.
 BOUNDED = settings(max_examples=60, deadline=None, database=None)
@@ -337,3 +340,105 @@ def test_the_lexer_agrees_with_the_oracle_on_mutated_fixtures(fixtures_dir):
     )
     # Both outcomes must be exercised, or the comparison proves little.
     assert 100 < lexed < 400
+
+
+# ---------------------------------------------------------------------------
+# Rules files: the reader against the per-line oracle
+# ---------------------------------------------------------------------------
+
+_BUNDLED_RULES = [
+    path.read_text(encoding="utf-8") for path in sorted(bundled_rules_dir().glob("*.mgl"))
+]
+
+# Whole-file rewrites: line breaks that `str.splitlines` cuts at, blanks
+# that `str.strip` removes, and a byte-order mark.
+_REWRITES = [
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: text.replace("\n", "\x0c"),
+    lambda text: text.replace("\n", "\x85"),
+    lambda text: text.replace(" = ", "\t=\t"),
+    lambda text: text.replace(" = ", "="),
+    lambda text: text.replace("[rule]", "[ rule ]"),
+    lambda text: "\ufeff" + text,
+]
+
+_STRAY_LINES = [
+    "stray",
+    "= value",
+    "key =",
+    "[ rule ]",
+    "[profile]",
+    "[weird]",
+    "# comment = x",
+    " \t\x1f\xa0",
+    "id = Other-1",
+    "meta.x=y=z",
+    "granted = use,,modify",
+    "trigger_actions = , train",
+]
+
+
+def _mutated_rules(rng: random.Random, text: str) -> str:
+    """A bundled rules file with a few line edits and a rewrite or two."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randrange(len(lines))
+        edit = rng.choice(["duplicate", "drop", "stray", "squeeze", "typo"])
+        if edit == "duplicate":
+            lines.insert(at, lines[at])
+        elif edit == "drop":
+            del lines[at]
+        elif edit == "stray":
+            lines.insert(at, rng.choice(_STRAY_LINES))
+        elif edit == "squeeze":
+            lines[at] = lines[at].replace(" = ", "=").replace(", ", ",")
+        else:
+            lines[at] = lines[at][:-1] + "x"
+    text = "\n".join(lines)
+    for _ in range(rng.randint(0, 2)):
+        text = rng.choice(_REWRITES)(text)
+    return text
+
+
+def _reads_like_the_oracle(path, text: str) -> bool:
+    """The same knowledge base, or the same fault in the same words.
+
+    Returns whether the text loaded without a fault.
+    """
+    path.write_bytes(text.encode("utf-8"))
+    outcomes = []
+    for load in (load_kb, naive_load_kb):
+        try:
+            outcomes.append(load([path]))
+        except KBError as err:
+            outcomes.append((type(err), str(err)))
+    assert outcomes[0] == outcomes[1]
+    return not isinstance(outcomes[0], tuple)
+
+
+_RULES_ALPHABET = st.sampled_from(
+    list("[]=#, \t\r\n\x0b\x0c\x1c\x1f\x85\xa0\u2028\ufeffa") + _TOKENS
+)
+
+
+@BOUNDED
+@given(
+    _edited_rules
+    | st.lists(_RULES_ALPHABET).map("".join)
+    | st.builds(
+        _mutated_rules, st.randoms(use_true_random=False), st.sampled_from(_BUNDLED_RULES)
+    )
+)
+def test_the_rules_reader_agrees_with_the_per_line_oracle(tmp_path_factory, text):
+    _reads_like_the_oracle(tmp_path_factory.getbasetemp() / "oracle.mgl", text)
+
+
+def test_the_rules_reader_agrees_with_the_oracle_on_mutated_bundled_files(tmp_path):
+    rng = random.Random(13)
+    loaded = sum(
+        _reads_like_the_oracle(tmp_path / "mutated.mgl", _mutated_rules(rng, text))
+        for _ in range(15)
+        for text in _BUNDLED_RULES
+    )
+    # Both outcomes must be exercised, or the comparison proves little.
+    assert 50 < loaded < 220, loaded
