@@ -37,7 +37,7 @@ from .reasoner import (
     RequestRecord,
     RulingRecord,
     members_of,
-    relicense_constraints,
+    relicense_terms,
     rulings_by_work,
     settle_license,
 )
@@ -269,15 +269,8 @@ class AnalysisIndex:
 
     def _relicense_forbidden(self, work_id: str, new_license: str) -> bool:
         """Whether the terms the work answers to forbid registering `new_license`."""
-        kb, rulings = self.kb, self.rulings.get(work_id, ())
-        none_allowed, compat_only = relicense_constraints(rulings, kb)
-        if none_allowed - {new_license}:
-            return True
-        if any(
-            new_license not in kb.licenses[license_id].compatible_with
-            for license_id in compat_only
-            if license_id in kb.licenses
-        ):
+        admitted = relicense_terms(self.rulings.get(work_id, ()), self.kb)[1]
+        if admitted is not None and new_license not in admitted:
             return True
         return any(Usage.RELICENSE in p.reserved for p in self.profiles(work_id))
 

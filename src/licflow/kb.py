@@ -12,7 +12,6 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import (
-    Iterable,
     Optional,
     Sequence,
     Union,
@@ -220,33 +219,6 @@ def match_rules(
             continue
         matched.append(rule)
     return matched
-
-
-def are_compatible(
-    kb: KnowledgeBase, target: str, candidates: Iterable[str]
-) -> Optional[str]:
-    """Pick a license acceptable to every candidate, or None.
-
-    The result is a member of the intersection of the candidates'
-    compatibility sets. Ties resolve deterministically: the proposed
-    target itself wins, then the smallest qualifying candidate, then the
-    smallest member of the intersection.
-    """
-    kb.profile(target)
-    candidate_set = set(candidates)
-    if not candidate_set:
-        raise ValueError("are_compatible needs at least one candidate")
-    intersection = set.intersection(
-        *(set(kb.profile(c).compatible_with) for c in sorted(candidate_set))
-    )
-    if not intersection:
-        return None
-    if target in intersection:
-        return target
-    agreeable = candidate_set & intersection
-    if agreeable:
-        return min(agreeable)
-    return min(intersection)
 
 
 # Each .mgl key's item type, the value each of its tokens reads as (None

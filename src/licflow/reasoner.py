@@ -18,7 +18,6 @@ from .kb import (
     RelicensePolicy,
     Requirement,
     Usage,
-    are_compatible,
     match_rules,
     usage_requirement,
 )
@@ -206,13 +205,16 @@ def _relied_sources(
     return results
 
 
-def relicense_constraints(
+def relicense_terms(
     rulings: Iterable[RulingRecord], kb: KnowledgeBase
-) -> tuple[set[str], set[str]]:
-    """Licenses a work's rulings pin it to, and those that only admit compatibles.
+) -> tuple[set[str], Optional[set[str]]]:
+    """Licenses a work's rulings pin it to, and the licenses they admit for it.
 
-    The first set holds the licenses of rules that allow no relicensing,
-    the second those of rules that allow compatible licenses only.
+    A rule that allows no relicensing pins the work to its license and
+    admits that license alone; one that allows compatible licenses only
+    pins its license and admits every license compatible with it. The
+    admitted set is what all of them admit, None when no rule constrains
+    the work.
     """
     none_allowed: set[str] = set()
     compat_only: set[str] = set()
@@ -224,7 +226,12 @@ def relicense_constraints(
             none_allowed.add(rule.license)
         elif rule.relicense is RelicensePolicy.COMPATIBLE_ONLY:
             compat_only.add(rule.license)
-    return none_allowed, compat_only
+    pinned = none_allowed | compat_only
+    if not pinned:
+        return pinned, None
+    terms = [{license_id} for license_id in none_allowed]
+    terms += (kb.profile(license_id).compatible_with for license_id in sorted(compat_only))
+    return pinned, set.intersection(*terms)
 
 
 def settle_license(
@@ -236,7 +243,9 @@ def settle_license(
     """The license a work ends up under, and its conflict if it has one.
 
     A declared license stands, then a registered one. Otherwise the
-    work's own rulings force a license on it, or record a conflict.
+    smallest admitted license wins, a pinned one before any other. With
+    nothing admitted the first pinned copyleft license, or else the first
+    pinned license, stands in and the work is in conflict.
     """
     declared = _declared_license(work)
     if declared is not None:
@@ -244,33 +253,14 @@ def settle_license(
     # Only a register_license action carries a license to register.
     if producer is not None and producer.license_to_register is not None:
         return producer.license_to_register, None
-    none_allowed, compat_only = relicense_constraints(rulings, kb)
-
-    def conflicted() -> tuple[str, DeferredConflict]:
-        implicated = tuple(sorted(none_allowed | compat_only))
-        copyleft = [
-            lic
-            for lic in implicated
-            if lic in kb.licenses and kb.licenses[lic].copyleft
-        ]
-        chosen = copyleft[0] if copyleft else implicated[0]
-        return chosen, DeferredConflict(work.id, implicated)
-
-    if not none_allowed and not compat_only:
+    pinned, admitted = relicense_terms(rulings, kb)
+    if admitted is None:
         return DEFAULT_LICENSE, None
-    if none_allowed:
-        if len(none_allowed) > 1:
-            return conflicted()
-        keeper = next(iter(none_allowed))
-        if compat_only:
-            if are_compatible(kb, keeper, compat_only) != keeper:
-                return conflicted()
-        return keeper, None
-    preferred = min(compat_only)
-    result = are_compatible(kb, preferred, compat_only)
-    if result is None:
-        return conflicted()
-    return result, None
+    if admitted:
+        return min(admitted & pinned or admitted), None
+    implicated = sorted(pinned)
+    copyleft = [license_id for license_id in implicated if kb.profile(license_id).copyleft]
+    return (copyleft or implicated)[0], DeferredConflict(work.id, tuple(implicated))
 
 
 def members_of(
@@ -282,15 +272,12 @@ def members_of(
     """Licenses that can speak for a work under `license_id`, given its own rulings.
 
     A declared license speaks alone. A derived work answers to its
-    license plus every license whose non-waiving rules fired on it,
-    because any of those could still claim the work.
+    license plus every license its rulings pin it to, because any of
+    those could still claim the work.
     """
     members = set() if license_id is None else {license_id}
     if _declared_license(work) is None:
-        for record in rulings:
-            rule = kb.rules.get(record.rule)
-            if rule is not None and rule.relicense is not RelicensePolicy.ANY:
-                members.add(rule.license)
+        members |= relicense_terms(rulings, kb)[0]
     return members
 
 

@@ -8,8 +8,10 @@ whole bundled rule set.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
-from typing import Iterable, Optional
+from itertools import combinations, product
+from typing import Iterable, Iterator, Optional
 
 from licflow import (
     ActionInput,
@@ -27,6 +29,7 @@ from licflow import (
     Restriction,
     Revocability,
     Rule,
+    RulingRecord,
     Usage,
     Work,
     WorkflowGraph,
@@ -233,6 +236,48 @@ def kb_of(*profiles: LicenseProfile) -> KnowledgeBase:
     for prof in profiles:
         kb.add_license(prof)
     return kb
+
+
+def relicensing_kb(profiles: Iterable[LicenseProfile]) -> KnowledgeBase:
+    """The profiles with one rule `<license>:<policy>` per relicensing policy.
+
+    The rules trigger on no action; a test places their rulings by hand.
+    """
+    return kb_of(
+        *(
+            dataclasses.replace(prof, rules=[
+                rule(f"{prof.id}:{policy.value}", prof.id, (), relicense=policy)
+                for policy in RelicensePolicy
+            ])
+            for prof in profiles
+        )
+    )
+
+
+# The rule policies one license's rulings may carry in a relicensing case.
+_POLICY_MIXES = (("none",), ("compatible",), ("none", "compatible"), ("any",))
+
+
+def relicensing_cases(kb: KnowledgeBase, most: int) -> Iterator[list[str]]:
+    """Rule ids of a `relicensing_kb`: no rule, then every policy mix of every
+    set of up to `most` licenses."""
+    yield []
+    for size in range(1, most + 1):
+        for licenses in combinations(sorted(kb.licenses), size):
+            for mixes in product(_POLICY_MIXES, repeat=size):
+                yield [
+                    f"{license_id}:{policy}"
+                    for license_id, mix in zip(licenses, mixes)
+                    for policy in mix
+                ]
+
+
+def placed_rulings(work_id: str, relied: str, rule_ids: Iterable[str]) -> list[RulingRecord]:
+    """Hand-placed rulings of a work, one per rule id."""
+    return [
+        RulingRecord(work_id, relied, rule_id, OutputDefinition.DERIVATIVE)
+        for rule_id in rule_ids
+    ]
 
 
 def plain_profile(license_id: str) -> LicenseProfile:

@@ -32,4 +32,5 @@ def setting_paths(fixtures_dir: Path) -> dict[str, Path]:
         "iv": fixtures_dir / "setting-iv.mgw",
         "free": fixtures_dir / "setting-free.mgw",
         "llama": fixtures_dir / "llama-train.mgw",
+        "relicense": fixtures_dir / "relicense.mgw",
     }

@@ -1,18 +1,19 @@
 """End-to-end acceptance checks.
 
 Run with `pytest tests/test_acceptance.py -v` to get one pass/fail line
-per check: the reference workflow catalogs, seed rule fidelity, the
-compatibility brute-force comparison, fuzz monotonicity, oracle
-equivalence, determinism and round-trips, and catalog metadata.
+per check: the reference workflow catalogs, seed rule fidelity, license
+settlement and E6 against the oracle over every relicensing mix, fuzz
+monotonicity, oracle equivalence, determinism and round-trips, and
+catalog metadata.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from itertools import combinations
 
 from licflow import (
+    DEFAULT_LICENSE,
     ActionKind,
     LicenseFramework,
     OutputDefinition,
@@ -21,18 +22,32 @@ from licflow import (
     WorkForm,
     WorkType,
     analyze_publication,
+    derive_compositional,
     parse_workflow,
     published_targets,
     run_all,
     serialize_graph,
 )
 from licflow.analyzer import AnalysisIndex
-from licflow.kb import are_compatible
+from licflow.reasoner import determine_licenses, members_of, settle_license
 
-from _helpers import kb_of, profile, report_multiset
+from _helpers import (
+    action,
+    code_subject_multiset,
+    graph_of,
+    placed_rulings,
+    profile,
+    publish,
+    relicensing_cases,
+    relicensing_kb,
+    report_multiset,
+    work,
+)
 from graphgen import random_graph
 from oracleutil import (
-    bruteforce_compatible,
+    _conflict_fallback,
+    naive_license_of,
+    naive_members,
     naive_reports,
     naive_requests,
     naive_rulings,
@@ -59,11 +74,18 @@ EXPECTED_CATALOGS = {
         "E": Counter({"N1": 1, "N2": 1, "W2": 2, "E2": 1, "E5": 1}),
         "F": Counter({"W2": 1, "E5": 1}),
     },
+    "relicense": {
+        "PM": Counter({"N1": 4, "N2": 4, "N3": 2, "W5": 2, "E10": 1, "W1": 1}),
+        "PR": Counter({"E6": 1}),
+    },
 }
 
 EXPECTED_ASSIGNMENTS = {
     "i": {"C": "AGPL-3.0", "D": "Unlicense"},
     "free": {"C": "Unlicense", "D": "Unlicense"},
+    # F is a compatible-only pick, M a conflict whose first copyleft
+    # license stands in, and R registered though T forbids it.
+    "relicense": {"F": "GPL-3.0", "M": "CC-BY-SA-4.0", "T": "MG-BY-ND", "R": "MG-BY"},
 }
 
 
@@ -134,30 +156,83 @@ def test_seed_rules_match_their_published_terms(seed_kb, setting_paths):
     assert found == Counter({("E9", "G"): 1, ("W2", "L"): 1})
 
 
-def test_compatibility_choice_agrees_with_brute_force():
-    linked = kb_of(
+def _relicensing_kbs(seed_kb):
+    """Each KB whose relicensing mixes are compared, and the most licenses
+    one mix holds: two toy KBs, linked through a shared compatible license
+    and isolated, whole, and the bundled profiles over pairs."""
+    linked = relicensing_kb([
         profile("Alpha", compatible_with=("Gamma",)),
-        profile("Beta", compatible_with=("Gamma",)),
+        profile("Beta", copyleft=True, compatible_with=("Gamma",)),
         profile("Gamma"),
+    ])
+    isolated = relicensing_kb(
+        [profile("Solo-A"), profile("Solo-B"), profile("Solo-C", copyleft=True)]
     )
-    isolated = kb_of(
-        profile("Solo-A"),
-        profile("Solo-B"),
-        profile("Solo-C"),
-    )
-    for kb in (linked, isolated):
-        ids = sorted(kb.licenses)
-        subsets = [
-            set(combo)
-            for size in (1, 2, 3)
-            for combo in combinations(ids, size)
-        ]
-        assert len(subsets) == 7
-        for candidates in subsets:
-            for target in ids:
-                assert are_compatible(kb, target, candidates) == (
-                    bruteforce_compatible(kb, target, candidates)
-                ), (target, candidates)
+    return [(linked, 3), (isolated, 3), (relicensing_kb(seed_kb.licenses.values()), 2)]
+
+
+def test_settlement_agrees_with_the_oracle_on_every_relicensing_mix(seed_kb):
+    graph = graph_of([work("X", license="Unlicense"), work("W")])
+    derived = graph.works["W"]
+    outcomes = Counter()
+    for kb, most in _relicensing_kbs(seed_kb):
+        for rule_ids in relicensing_cases(kb, most):
+            rulings = placed_rulings("W", "X", rule_ids)
+            naive = {("W", "X", rule_id) for rule_id in rule_ids}
+            license_id, conflict = settle_license(derived, None, rulings, kb)
+            expected = naive_license_of(graph, kb, "W", naive)
+            members = naive_members(graph, kb, "W", naive)
+            if expected is None:
+                assert conflict is not None, rule_ids
+                assert license_id == _conflict_fallback(graph, kb, "W", naive), rule_ids
+                assert conflict.implicated == tuple(sorted(members)), rule_ids
+            else:
+                assert (license_id, conflict) == (expected, None), rule_ids
+            # The oracle drops the ids the KB does not know, the default's too.
+            got = members_of(derived, license_id, rulings, kb) & kb.licenses.keys()
+            assert got == members, rule_ids
+            pinned = {kb.rules[r].license for r in rule_ids if not r.endswith(":any")}
+            outcomes["conflict" if conflict else "pinned" if license_id in pinned
+                     else license_id] += 1
+    # Conflicts, pinned picks and both picks from outside the pinned set,
+    # the default and the license Alpha and Beta share, are all reached.
+    assert set(outcomes) == {"conflict", "pinned", DEFAULT_LICENSE, "Gamma"}, outcomes
+
+
+def test_e6_agrees_with_the_oracle_on_every_relicensing_mix(seed_kb):
+    for kb, most in _relicensing_kbs(seed_kb):
+        # One registration of the ruled work S under every license, all
+        # published together.
+        targets = sorted(kb.licenses)
+        graph = graph_of(
+            [work("X", license="Unlicense"), work("S"), work("C"), work("P")]
+            + [work(f"R-{new}") for new in targets],
+            [action("tune", ActionKind.MODIFY, ["X"], "S")]
+            + [
+                action(f"reg-{new}", ActionKind.REGISTER_LICENSE, ["S"], f"R-{new}",
+                       license_to_register=new)
+                for new in targets
+            ]
+            + [
+                action("merge", ActionKind.COMBINE, [f"R-{new}" for new in targets], "C"),
+                publish("pub", "C", "P"),
+            ],
+        )
+        derive_compositional(graph)
+        fired, cases = 0, list(relicensing_cases(kb, most))
+        for rule_ids in cases:
+            for wid in graph.works.keys() - {"X"}:
+                graph.works[wid].license = None
+            graph.rulings = placed_rulings("S", "X", rule_ids)
+            determine_licenses(graph, kb)
+            result = analyze_publication(graph, kb, "P")
+            e6 = Counter((c, s) for c, s, _ in naive_reports(graph, kb, "P") if c == "E6")
+            assert code_subject_multiset(
+                r for r in result.reports if r.code.name == "E6"
+            ) == e6, rule_ids
+            fired += len(e6)
+        # Some registrations are forbidden and others are not.
+        assert 0 < fired < len(targets) * len(cases)
 
 
 def test_wider_form_matching_only_adds_findings(seed_kb):

@@ -153,7 +153,7 @@ def test_structured_output_is_json_lines_without_the_disclaimer(
         assert set(record) == {"code", "severity", "subject", "target", "content"}
 
 
-@pytest.mark.parametrize("key", ["i", "ii", "iii", "iv", "free", "llama"])
+@pytest.mark.parametrize("key", ["i", "ii", "iii", "iv", "free", "llama", "relicense"])
 def test_structured_and_human_reports_agree(key, setting_paths, capsys):
     main(["analyze", str(setting_paths[key]), "--output", "structured"])
     structured = _structured_multiset(capsys.readouterr().out)
@@ -162,7 +162,7 @@ def test_structured_and_human_reports_agree(key, setting_paths, capsys):
     assert structured == human
 
 
-@pytest.mark.parametrize("key", ["i", "ii", "iii", "iv", "free", "llama"])
+@pytest.mark.parametrize("key", ["i", "ii", "iii", "iv", "free", "llama", "relicense"])
 def test_fuzz_off_never_adds_findings(key, setting_paths, capsys):
     main(["analyze", str(setting_paths[key]), "--output", "structured"])
     fuzz_on = _structured_multiset(capsys.readouterr().out)

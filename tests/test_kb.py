@@ -23,7 +23,6 @@ from licflow import (
 from licflow.kb import (
     _PROFILE_KEYS,
     _RULE_KEYS,
-    are_compatible,
     match_rules,
     usage_requirement,
 )
@@ -464,40 +463,3 @@ def test_match_rules_unknown_license_raises():
     kb = _match_kb()
     with pytest.raises(UnknownLicense):
         match_rules(kb, "Ghost", ActionKind.COPY, WorkForm.RAW, WorkForm.RAW)
-
-
-# ---------------------------------------------------------------------------
-# Compatibility
-# ---------------------------------------------------------------------------
-
-
-def test_single_candidate_keeps_the_target(seed_kb):
-    assert are_compatible(seed_kb, "MIT", {"MIT"}) == "MIT"
-
-
-def test_strictest_compatible_license_wins(seed_kb):
-    assert are_compatible(seed_kb, "GPL-3.0", {"GPL-3.0", "AGPL-3.0"}) == "AGPL-3.0"
-
-
-def test_incompatible_candidates_give_none(seed_kb):
-    assert are_compatible(seed_kb, "MIT", {"GPL-3.0", "CC-BY-NC-4.0"}) is None
-
-
-def test_outside_intersection_member_can_win():
-    kb = kb_of(
-        profile("Alpha", compatible_with={"Alpha", "Gamma"}),
-        profile("Beta", compatible_with={"Beta", "Gamma"}),
-        profile("Gamma"),
-    )
-    assert are_compatible(kb, "Alpha", {"Alpha", "Beta"}) == "Gamma"
-
-
-def test_empty_candidates_raise():
-    kb = kb_of(profile("Alpha"))
-    with pytest.raises(ValueError):
-        are_compatible(kb, "Alpha", set())
-
-
-def test_unknown_target_raises(seed_kb):
-    with pytest.raises(UnknownLicense):
-        are_compatible(seed_kb, "Ghost", {"MIT"})

@@ -27,6 +27,7 @@ from licflow import (
     RelicensePolicy,
     RequestRecord,
     RulingRecord,
+    UnknownLicense,
     Usage,
     WorkForm,
     WorkType,
@@ -35,12 +36,14 @@ from licflow import (
 )
 from licflow import reasoner
 from licflow.reasoner import (
+    DeferredConflict,
     action_usages,
     derive_requests,
     derive_rulings,
     determine_licenses,
     members_of,
     rulings_by_work,
+    settle_license,
 )
 
 from _helpers import (
@@ -50,8 +53,10 @@ from _helpers import (
     graph_of,
     inputs_of,
     kb_of,
+    placed_rulings,
     profile,
     publish,
+    relicensing_kb,
     request_tuples,
     rule,
     ruling_tuples,
@@ -459,6 +464,49 @@ def test_pinned_license_accepts_a_compatible_companion():
     graph, conflicts = _determined(graph, kb)
     assert graph.works["C"].license == "L1"
     assert conflicts == []
+
+
+def _settled(kb, *rule_ids):
+    """The license and conflict of an undeclared work with hand-placed rulings."""
+    return settle_license(work("W"), None, placed_rulings("W", "X", rule_ids), kb)
+
+
+def test_a_single_compatible_ruling_keeps_its_license(seed_kb):
+    kb = relicensing_kb(seed_kb.licenses.values())
+    assert _settled(kb, "MIT:compatible") == ("MIT", None)
+
+
+def test_compatible_rulings_with_no_common_license_conflict(seed_kb):
+    kb = relicensing_kb(seed_kb.licenses.values())
+    license_id, conflict = _settled(kb, "GPL-3.0:compatible", "CC-BY-NC-4.0:compatible")
+    assert license_id == "GPL-3.0"
+    assert conflict == DeferredConflict("W", ("CC-BY-NC-4.0", "GPL-3.0"))
+
+
+def test_an_admitted_license_outside_the_pinned_ones_can_win():
+    kb = relicensing_kb([
+        profile("Alpha", compatible_with={"Alpha", "Gamma"}),
+        profile("Beta", compatible_with={"Beta", "Gamma"}),
+        profile("Gamma"),
+    ])
+    assert _settled(kb, "Alpha:compatible", "Beta:compatible") == ("Gamma", None)
+    rulings = placed_rulings("W", "X", ["Alpha:compatible", "Beta:compatible"])
+    assert members_of(work("W"), "Gamma", rulings, kb) == {"Alpha", "Beta", "Gamma"}
+
+
+def test_a_rule_of_a_license_missing_from_the_kb_raises():
+    kb = relicensing_kb([profile("MIT")])
+    # Only a hand-built KB can hold a rule without its profile.
+    for policy in RelicensePolicy:
+        rule_id = f"Ghost:{policy.value}"
+        kb.rules[rule_id] = rule(rule_id, "Ghost", (), relicense=policy)
+    with pytest.raises(UnknownLicense):
+        _settled(kb, "Ghost:compatible")
+    # A conflict looks up each implicated license to prefer copyleft.
+    with pytest.raises(UnknownLicense):
+        _settled(kb, "Ghost:none", "MIT:none")
+    with pytest.raises(UnknownLicense):
+        members_of(work("W"), None, placed_rulings("W", "X", ["Ghost:compatible"]), kb)
 
 
 def test_registered_license_wins_over_the_default(seed_kb):
