@@ -10,9 +10,9 @@ loaded knowledge base.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -58,15 +58,12 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _structured_line(report: Report) -> str:
-    return json.dumps(
-        {
-            "code": report.code.name,
-            "severity": report.severity.value,
-            "subject": report.subject,
-            "target": report.target,
-            "content": report.content,
-        }
+def _structured_line(r: Report) -> str:
+    """`json.dumps` of the report's five keys, each string quoted by its encoder."""
+    return (
+        f'{{"code": {_quote(r.code.name)}, "severity": {_quote(r.severity.value)}, '
+        f'"subject": {_quote(r.subject)}, "target": {_quote(r.target)}, '
+        f'"content": {_quote(r.content)}}}'
     )
 
 

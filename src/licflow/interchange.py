@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from enum import EnumMeta
 from typing import Iterable, Union
 
 from .kb import OutputDefinition, Usage
@@ -116,6 +117,8 @@ class _Entry:
         # `InputRole` for an input in that role, `set` for a set of work ids.
         self.kind = kind
         self.many = kind is set or isinstance(kind, InputRole)
+        # The member each value of an enum reads as.
+        self.members = {m.value: m for m in kind} if isinstance(kind, EnumMeta) else None
 
 
 class _Node:
@@ -203,8 +206,9 @@ _PREDICATES = _REASONER_PREDICATES.union(
 )
 
 
-# A local name; documents are read and written with the same pattern.
-_NAME_RE = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_:-]|\.(?=[A-Za-z0-9_:-]))*")
+# A local name; documents are read and written with the same pattern. A
+# dot only joins two runs of name characters, so no name ends with one.
+_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_:-]*(?:\.[A-Za-z0-9_:-]+)*")
 
 # One match per token: skip blanks, line breaks and `#` comments, then
 # the first alternative that matches names the kind. The order matters:
@@ -212,9 +216,9 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_:-]|\.(?=[A-Za-z0-9_:-]))*")
 # leaves `12ab` to NAME. Any other character is BAD, so every match
 # succeeds and ends where the next one starts.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
     r"(?:(?P<IRIREF><[^<>\s]*>)"
-    r'|(?P<STRING>"(?:[^"\\\n]|\\.)*")'
+    r'|(?P<STRING>"[^"\\\n]*(?:\\.[^"\\\n]*)*")'
     r"|(?P<PREFIX_KW>@prefix\b)"
     r"|(?P<INTEGER>[+-]?[0-9]+(?![A-Za-z0-9_:.+-]))"
     rf"|(?P<NAME>{_NAME_RE.pattern})"
@@ -229,6 +233,8 @@ _Token = tuple[str, str, int]
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r"}
 _ESCAPED = str.maketrans({char: "\\" + name for name, char in _ESCAPES.items()})
+# A backslash and the character after it, if any.
+_ESCAPE_RE = re.compile(r"\\(.?)", re.DOTALL)
 
 
 def _syntax_error(message: str, text: str, offset: int) -> WorkflowSyntaxError:
@@ -239,21 +245,12 @@ def _syntax_error(message: str, text: str, offset: int) -> WorkflowSyntaxError:
 
 
 def _unescape(raw: str, text: str, offset: int) -> str:
-    if "\\" not in raw:
-        return raw
-    out = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch == "\\":
-            i += 1
-            if i >= len(raw) or raw[i] not in _ESCAPES:
-                raise _syntax_error("bad string escape", text, offset)
-            out.append(_ESCAPES[raw[i]])
-        else:
-            out.append(ch)
-        i += 1
-    return "".join(out)
+    def char(match: re.Match) -> str:
+        if match[1] not in _ESCAPES:
+            raise _syntax_error("bad string escape", text, offset)
+        return _ESCAPES[match[1]]
+
+    return _ESCAPE_RE.sub(char, raw) if "\\" in raw else raw
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -261,8 +258,7 @@ def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        value = match[kind]
-        offset = match.start(kind)
+        value, offset = match[kind], match.start(kind)
         if kind == "IRIREF" or kind == "STRING":
             value = value[1:-1]
         elif kind == "BAD":
@@ -276,36 +272,24 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-        # Prefixed name -> local name under the prefixes declared so far.
+        self.next = iter(_tokenize(text)).__next__
+        # Prefixed name -> local name under the prefixes so far; read before `_resolve`.
         self.locals: dict[str, str] = {}
         self.idents: dict[str, Ident] = {}
-
-    def next(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
 
     def error(self, message: str, offset: int) -> WorkflowSyntaxError:
         return _syntax_error(message, self.text, offset)
 
-    def expect_punct(self, value: str) -> None:
-        kind, found, offset = self.next()
-        if kind != "PUNCT" or found != value:
-            raise self.error(f"expected {value!r}, found {found!r}", offset)
-
     def parse(self) -> Document:
         doc = Document()
         while True:
-            kind = self.tokens[self.index][0]
-            if kind == "EOF":
+            token = self.next()
+            if token[0] == "EOF":
                 return doc
-            if kind == "PREFIX_KW":
-                self.index += 1
+            if token[0] == "PREFIX_KW":
                 self._prefix_decl(doc)
             else:
-                self._triples(doc)
+                self._triples(doc, token)
 
     def _prefix_decl(self, doc: Document) -> None:
         kind, name, offset = self.next()
@@ -314,14 +298,13 @@ class _Parser:
         kind, iri, offset = self.next()
         if kind != "IRIREF":
             raise self.error("expected namespace IRI", offset)
-        self.expect_punct(".")
+        kind, found, offset = self.next()
+        if kind != "PUNCT" or found != ".":
+            raise self.error(f"expected '.', found {found!r}", offset)
         doc.prefixes[name[:-1]] = iri
         self.locals.clear()
 
     def _resolve(self, name: str, offset: int, doc: Document) -> str:
-        local = self.locals.get(name)
-        if local is not None:
-            return local
         if ":" not in name:
             raise self.error(f"expected prefixed name, found {name!r}", offset)
         prefix, local = name.split(":", 1)
@@ -338,25 +321,25 @@ class _Parser:
         self.locals[name] = local
         return local
 
-    def _triples(self, doc: Document) -> None:
-        statements = doc.statements
-        kind, value, offset = self.next()
+    def _triples(self, doc: Document, token: _Token) -> None:
+        append, next_token, locals_ = doc.statements.append, self.next, self.locals
+        kind, value, offset = token
         if kind != "NAME":
             raise self.error(f"expected subject, found {value!r}", offset)
-        subject = self._resolve(value, offset, doc)
+        subject = locals_.get(value) or self._resolve(value, offset, doc)
         while True:
-            kind, value, offset = self.next()
+            kind, value, offset = next_token()
             if kind != "NAME":
                 raise self.error(f"expected predicate, found {value!r}", offset)
             if value == "a":
                 predicate = "a"
             else:
-                predicate = self._resolve(value, offset, doc)
+                predicate = locals_.get(value) or self._resolve(value, offset, doc)
                 if predicate not in _PREDICATES:
                     raise UnknownTerm(f"unknown predicate 'mg:{predicate}'")
             while True:
-                statements.append((subject, predicate, self._object(doc, predicate)))
-                kind, value, offset = self.next()
+                append((subject, predicate, self._object(doc, predicate)))
+                kind, value, offset = next_token()
                 if kind != "PUNCT":
                     raise self.error(f"expected punctuation, found {value!r}", offset)
                 if value == ".":
@@ -376,7 +359,7 @@ class _Parser:
                 return True
             if value == "false":
                 return False
-            local = self._resolve(value, offset, doc)
+            local = self.locals.get(value) or self._resolve(value, offset, doc)
             if predicate == "a" and local not in _CLASSES:
                 raise UnknownTerm(f"unknown class 'mg:{local}'")
             ident = self.idents.get(local)
@@ -402,12 +385,10 @@ def _value(entry: _Entry, obj: Object, subject: str) -> object:
         raise SemanticError(f"{entry.what} of '{subject}' must be a string")
     if kind is str:
         return obj
-    try:
-        return kind(obj)
-    except ValueError:
-        raise SemanticError(
-            f"{entry.what} of '{subject}' has unknown value {obj!r}"
-        ) from None
+    member = entry.members.get(obj)
+    if member is None:
+        raise SemanticError(f"{entry.what} of '{subject}' has unknown value {obj!r}")
+    return member
 
 
 def _read(subject: str, rows: list[tuple[str, Object]], node: _Node) -> dict:

@@ -298,6 +298,29 @@ def _check_arity(graph: WorkflowGraph, action: ActionNode) -> None:
             )
 
 
+def _feeds_any(graph: WorkflowGraph, output: str, inputs: list[str]) -> bool:
+    """Whether `output` already feeds one of `inputs`, walking from both ends.
+
+    Each side grows by one work in turn until they meet or either runs
+    out, so the walk stays within twice the smaller side.
+    """
+    down, up = {output}, set(inputs)
+    down_stack, up_stack = [output], list(up)
+    while down_stack and up_stack:
+        later = set(graph.consumers.get(down_stack.pop(), ())) - down
+        if not later.isdisjoint(up):
+            return True
+        down |= later
+        down_stack += later
+        producer = graph.producers.get(up_stack.pop())
+        earlier = set() if producer is None else {inp.work for inp in producer.inputs} - up
+        if not earlier.isdisjoint(down):
+            return True
+        up |= earlier
+        up_stack += earlier
+    return False
+
+
 def add_action(graph: WorkflowGraph, action: ActionNode) -> None:
     if action.id in graph.actions or action.id in graph.works:
         raise DuplicateId(f"id {action.id!r} is already used in this graph")
@@ -321,14 +344,12 @@ def add_action(graph: WorkflowGraph, action: ActionNode) -> None:
     input_ids = [inp.work for inp in action.inputs]
     if action.output in input_ids:
         raise CycleIntroduced(f"action {action.id!r}: output is also an input")
-    # Written in file order, the output has no consumers yet.
-    downstream = closure(action.output, graph.consumers)
-    for work_id in input_ids:
-        if work_id in downstream:
-            raise CycleIntroduced(
-                f"action {action.id!r}: output {action.output!r} already feeds "
-                f"input {work_id!r}"
-            )
+    if _feeds_any(graph, action.output, input_ids):
+        work_id = next(w for w in input_ids if w in closure(action.output, graph.consumers))
+        raise CycleIntroduced(
+            f"action {action.id!r}: output {action.output!r} already feeds "
+            f"input {work_id!r}"
+        )
     graph.actions[action.id] = action
     _link_action(graph, action)
 

@@ -9,6 +9,7 @@ derives the usage rights each action needs from the works it touches.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -205,6 +206,37 @@ def _relied_sources(
     return results
 
 
+# A work's none-allowed and compatible-only licenses; its pinned and admitted ones.
+_Held = tuple[set[str], set[str]]
+_Terms = tuple[set[str], Optional[set[str]]]
+
+
+def _pin(held: _Held, rulings: Iterable[RulingRecord], kb: KnowledgeBase) -> bool:
+    """Add the licenses rulings pin a work to its held sets; True if they grew."""
+    none_allowed, compat_only = held
+    size = len(none_allowed) + len(compat_only)
+    for record in rulings:
+        rule = kb.rules.get(record.rule)
+        if rule is None:
+            continue
+        if rule.relicense is RelicensePolicy.NONE_ALLOWED:
+            none_allowed.add(rule.license)
+        elif rule.relicense is RelicensePolicy.COMPATIBLE_ONLY:
+            compat_only.add(rule.license)
+    return len(none_allowed) + len(compat_only) > size
+
+
+def _terms(held: _Held, kb: KnowledgeBase) -> _Terms:
+    """The pinned and admitted licenses of a work's held sets."""
+    none_allowed, compat_only = held
+    pinned = none_allowed | compat_only
+    if not pinned:
+        return pinned, None
+    terms = [{license_id} for license_id in none_allowed]
+    terms += (kb.profile(license_id).compatible_with for license_id in sorted(compat_only))
+    return pinned, set.intersection(*terms)
+
+
 def relicense_terms(
     rulings: Iterable[RulingRecord], kb: KnowledgeBase
 ) -> tuple[set[str], Optional[set[str]]]:
@@ -216,22 +248,28 @@ def relicense_terms(
     admitted set is what all of them admit, None when no rule constrains
     the work.
     """
-    none_allowed: set[str] = set()
-    compat_only: set[str] = set()
-    for record in rulings:
-        rule = kb.rules.get(record.rule)
-        if rule is None:
-            continue
-        if rule.relicense is RelicensePolicy.NONE_ALLOWED:
-            none_allowed.add(rule.license)
-        elif rule.relicense is RelicensePolicy.COMPATIBLE_ONLY:
-            compat_only.add(rule.license)
-    pinned = none_allowed | compat_only
-    if not pinned:
-        return pinned, None
-    terms = [{license_id} for license_id in none_allowed]
-    terms += (kb.profile(license_id).compatible_with for license_id in sorted(compat_only))
-    return pinned, set.intersection(*terms)
+    held: _Held = (set(), set())
+    _pin(held, rulings, kb)
+    return _terms(held, kb)
+
+
+def _settle(
+    work: Work, producer: Optional[ActionNode], terms: _Terms, kb: KnowledgeBase
+) -> tuple[str, Optional[DeferredConflict]]:
+    pinned, admitted = terms
+    declared = _declared_license(work)
+    if declared is not None:
+        return declared, None
+    # Only a register_license action carries a license to register.
+    if producer is not None and producer.license_to_register is not None:
+        return producer.license_to_register, None
+    if admitted is None:
+        return DEFAULT_LICENSE, None
+    if admitted:
+        return min(admitted & pinned or admitted), None
+    implicated = sorted(pinned)
+    copyleft = [license_id for license_id in implicated if kb.profile(license_id).copyleft]
+    return (copyleft or implicated)[0], DeferredConflict(work.id, tuple(implicated))
 
 
 def settle_license(
@@ -247,20 +285,7 @@ def settle_license(
     nothing admitted the first pinned copyleft license, or else the first
     pinned license, stands in and the work is in conflict.
     """
-    declared = _declared_license(work)
-    if declared is not None:
-        return declared, None
-    # Only a register_license action carries a license to register.
-    if producer is not None and producer.license_to_register is not None:
-        return producer.license_to_register, None
-    pinned, admitted = relicense_terms(rulings, kb)
-    if admitted is None:
-        return DEFAULT_LICENSE, None
-    if admitted:
-        return min(admitted & pinned or admitted), None
-    implicated = sorted(pinned)
-    copyleft = [license_id for license_id in implicated if kb.profile(license_id).copyleft]
-    return (copyleft or implicated)[0], DeferredConflict(work.id, tuple(implicated))
+    return _settle(work, producer, relicense_terms(rulings, kb), kb)
 
 
 def members_of(
@@ -288,17 +313,28 @@ def rulings_by_work(graph: WorkflowGraph) -> dict[str, list[RulingRecord]]:
     return by_work
 
 
+def _pin_round(
+    pins: dict[str, _Held], rulings: Iterable[RulingRecord], kb: KnowledgeBase
+) -> list[str]:
+    """Add new rulings to the sets held per work; the works whose sets grew."""
+    by_work: dict[str, list[RulingRecord]] = {}
+    for record in rulings:
+        if record.work in pins:
+            by_work.setdefault(record.work, []).append(record)
+    return [wid for wid, records in by_work.items() if _pin(pins[wid], records, kb)]
+
+
 def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int:
     """Accumulate rulings until neither rulings nor licenses move.
 
     A relied-upon work is matched under the kind of the transforming step
     nearest the action or, over copies and publications alone, the step
-    nearest the work (see `_relied_sources`). Rulings are never
-    retracted, and a work's license and members depend only on its own
-    rulings, so each round settles only the works that gained rulings in
-    the round before. Matching depends only on the license, the kind and
-    the forms, so each relied work is matched once per license it answers
-    to and per (kind, output form) of the actions relying on it.
+    nearest the work (see `_relied_sources`). Rulings are never retracted,
+    and a work's license and members depend only on the licenses its
+    rulings pin it to, so each relied work holds those, adds each round's
+    new rulings to them and is settled again only when they grow. It is
+    matched once per license it answers to, and each distinct (license,
+    kind, forms) match is made once per run.
     """
     mix_parents = edge_parents(graph, (EdgeKind.MIXWORK,))
     kinds = {a.output: _normalized_kind(a) for a in graph.actions.values()}
@@ -313,9 +349,12 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
             groups, outputs = relied_by.get(source) or relied_by.setdefault(source, ({}, []))
             group = groups.setdefault((kind, out_form), len(groups))
             outputs.append((action.output, group))
-    by_work = rulings_by_work(graph)
+    pins = {source: (set(), set()) for source in relied_by}
+    _pin_round(pins, graph.rulings, kb)
     known = {(r.work, r.relied_work, r.rule) for r in graph.rulings}
     matched: dict[str, set[str]] = {source: set() for source in relied_by}
+    # The rules each (license, kind, input form, output form) fires.
+    match = functools.cache(lambda *key: match_rules(kb, *key, fuzz))
     changed: Iterable[str] = relied_by
     iterations = 0
     # Each round but the last adds a new (work, relied work, rule) key,
@@ -324,17 +363,15 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
         iterations += 1
         fresh: list[RulingRecord] = []
         for source in sorted(changed):
-            work, rulings = graph.works[source], by_work.get(source, [])
-            settled, _ = settle_license(work, graph.producers.get(source), rulings, kb)
-            members = members_of(work, settled, rulings, kb)
+            work, terms = graph.works[source], _terms(pins[source], kb)
+            settled, _ = _settle(work, graph.producers.get(source), terms, kb)
+            # As in `members_of`: a declared license speaks alone.
+            members = {settled} | (terms[0] if _declared_license(work) is None else set())
             unmatched = members.intersection(kb.licenses) - matched[source]
             matched[source] |= unmatched
             groups, outputs = relied_by[source]
             for license_id in sorted(unmatched):
-                hits = [
-                    match_rules(kb, license_id, kind, work.form, out_form, fuzz)
-                    for kind, out_form in groups
-                ]
+                hits = [match(license_id, kind, work.form, out) for kind, out in groups]
                 if not any(hits):
                     continue
                 for output, group in outputs:
@@ -348,9 +385,7 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
         if not fresh:
             return iterations
         graph.rulings.extend(fresh)
-        for record in fresh:
-            by_work.setdefault(record.work, []).append(record)
-        changed = {record.work for record in fresh}.intersection(relied_by)
+        changed = _pin_round(pins, fresh, kb)
 
 
 def derive_rulings(

@@ -35,7 +35,6 @@ from licflow import (
     WorkflowSyntaxError,
     WorkForm,
 )
-from licflow.interchange import _NAME_RE
 from licflow.kb import _USE_SCOPED
 
 DEFAULT = "Unlicense"
@@ -47,12 +46,17 @@ _IDENTITY = (ActionKind.COPY, ActionKind.PUBLISH)
 # Tokens
 # ---------------------------------------------------------------------------
 
+# A local name, spelled as a run of name characters where a dot counts
+# only when a name character follows it. The engine spells the same
+# language without the per-character lookahead.
+NAIVE_NAME_RE = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_:-]|\.(?=[A-Za-z0-9_:-]))*")
+
 _TOKEN_RES = [
     ("IRIREF", re.compile(r"<([^<>\s]*)>")),
     ("STRING", re.compile(r'"((?:[^"\\\n]|\\.)*)"')),
     ("PREFIX_KW", re.compile(r"@prefix\b")),
     ("INTEGER", re.compile(r"[+-]?[0-9]+(?![A-Za-z0-9_:.+-])")),
-    ("NAME", _NAME_RE),
+    ("NAME", NAIVE_NAME_RE),
     ("PUNCT", re.compile(r"[.;,]")),
 ]
 

@@ -13,9 +13,18 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import licflow
-from licflow import ActionKind, ExitClass, bundled_rules_dir, serialize_graph
+from licflow import (
+    ActionKind,
+    ExitClass,
+    Report,
+    ReportCode,
+    bundled_rules_dir,
+    serialize_graph,
+)
 from licflow import analyzer, cli, model, reasoner
 from licflow.cli import DISCLAIMER, EXIT_USAGE, KB_ENV_VAR, main
 
@@ -151,6 +160,30 @@ def test_structured_output_is_json_lines_without_the_disclaimer(
     for line in lines:
         record = json.loads(line)
         assert set(record) == {"code", "severity", "subject", "target", "content"}
+
+
+# Quotes, backslashes, control characters, non-ASCII, line and paragraph
+# separators and lone surrogates, each of which `json.dumps` escapes.
+_escaped_text = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "\ud800", "\udfff"])
+    | st.characters(exclude_categories=())
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(ReportCode), _escaped_text, _escaped_text, _escaped_text)
+def test_a_structured_line_is_the_json_dump_of_its_report(code, subject, target, content):
+    report = Report(code, subject, target, content)
+    expected = json.dumps(
+        {
+            "code": report.code.name,
+            "severity": report.severity.value,
+            "subject": report.subject,
+            "target": report.target,
+            "content": report.content,
+        }
+    )
+    assert cli._structured_line(report) == expected
 
 
 @pytest.mark.parametrize("key", ["i", "ii", "iii", "iv", "free", "llama", "relicense"])

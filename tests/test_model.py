@@ -26,9 +26,10 @@ from licflow import (
     add_work,
     generalize_output_typing,
     parse_workflow,
+    serialize_graph,
     validate_graph,
 )
-from licflow.model import toposort_actions
+from licflow.model import _feeds_any, closure, toposort_actions
 
 from _helpers import (
     action,
@@ -164,6 +165,68 @@ def test_a_long_chain_written_in_file_order_builds_in_linear_time():
     graph = copy_chain(2000, "MIT")
     assert time.perf_counter() - start < 0.5
     assert len(graph.actions) == 2000
+
+
+class _CountedLookups(dict):
+    """A graph map that counts its `get` calls, which only cycle checks make."""
+
+    calls = 0
+
+    def get(self, key, default=None):
+        _CountedLookups.calls += 1
+        return super().get(key, default)
+
+
+def test_a_chain_written_last_step_first_builds_in_linear_steps(monkeypatch):
+    text = serialize_graph(copy_chain(2000, "MIT"))
+    header, _, body = text.partition("\n\n")
+    blocks = body.rstrip("\n").split("\n\n")
+    reversed_text = header + "\n\n" + "\n\n".join(reversed(blocks)) + "\n"
+    original_init = WorkflowGraph.__post_init__
+
+    def counted_init(graph):
+        original_init(graph)
+        graph.producers = _CountedLookups()
+        graph.consumers = _CountedLookups()
+
+    monkeypatch.setattr(WorkflowGraph, "__post_init__", counted_init)
+    monkeypatch.setattr(_CountedLookups, "calls", 0)
+    # Each action's inputs have no producers yet, so its check stops after
+    # one step; walking the output's downstream works would visit about
+    # 2000 * 2001 / 2 of them in all.
+    graph = parse_workflow(reversed_text)
+    assert _CountedLookups.calls <= 4 * 2000
+    assert serialize_graph(graph) == text
+
+
+def test_the_two_sided_cycle_check_agrees_with_a_downstream_walk():
+    graphs = [random_graph(seed, max_works=13) for seed in range(200)]
+    graphs += [diamond_ladder(4), copy_chain(12, "MIT")]
+    checked = found = 0
+    for graph in graphs:
+        ids = sorted(graph.works)
+        for output in ids:
+            downstream = closure(output, graph.consumers)
+            others = [wid for wid in ids if wid != output]
+            for inputs in [[wid] for wid in others] + [others[::2], others[1::2]]:
+                expected = any(wid in downstream for wid in inputs)
+                assert _feeds_any(graph, output, inputs) is expected
+                checked += 1
+                found += expected
+    assert checked > 10_000 and found > 1_000
+
+
+def test_a_cycle_names_the_first_fed_input_in_input_order():
+    graph = graph_of(
+        [work("A", license="MIT"), work("B"), work("C"), work("D", license="MIT")],
+        [
+            action("one", ActionKind.MODIFY, ["A"], "B"),
+            action("two", ActionKind.MODIFY, ["B"], "C"),
+        ],
+    )
+    message = "action 'back': output 'A' already feeds input 'C'"
+    with pytest.raises(CycleIntroduced, match=re.escape(message)):
+        add_action(graph, action("back", ActionKind.COMBINE, ["D", "C", "B"], "A"))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from licflow.reasoner import (
     derive_rulings,
     determine_licenses,
     members_of,
+    relicense_terms,
     rulings_by_work,
     settle_license,
 )
@@ -62,6 +63,7 @@ from _helpers import (
     ruling_tuples,
     work,
 )
+from graphgen import random_graph
 
 
 def _edge_triples(graph):
@@ -869,13 +871,14 @@ def _counted_match_rules(monkeypatch):
     return calls
 
 
-def test_the_fixpoint_matches_each_relied_license_once(monkeypatch):
+def test_the_fixpoint_matches_once_per_distinct_key(monkeypatch):
     calls = _counted_match_rules(monkeypatch)
     reasoned, stats = run_all(copy_chain(60, license="L1"), _copy_rule_kb())
     # C(j) is relied on by the 60 - j copies after it, all copies to code,
-    # under L1 once: C0000 in round 1, every other C(j) in round 2 once its
-    # ruling lands. One match serves every copy relying on C(j).
-    assert len(calls) == 60
+    # under L1: C0000 in round 1, every other C(j) in round 2 once its
+    # ruling lands. All 60 share one (license, kind, input form, output
+    # form) key, so one match serves every relied work and every copy.
+    assert len(calls) == 1
     assert len(reasoned.rulings) == 60 * 61 // 2
     assert stats.iterations == 3
 
@@ -898,6 +901,39 @@ def test_the_fixpoint_matches_once_per_output_form(monkeypatch):
     run_all(graph, _copy_rule_kb())
     # A feeds code twice and an executable once: two (kind, output form).
     assert sorted(call[4].value for call in calls) == ["code", "exe"]
+
+
+def test_the_fixpoint_holds_the_terms_its_rulings_give(monkeypatch, seed_kb):
+    # The fixpoint adds each round's new rulings to the license sets it
+    # holds per relied work. After every round, each relied work's terms
+    # must equal those read afresh from all of its rulings so far, and the
+    # works it settles again must be exactly those whose terms moved.
+    original = reasoner._pin_round
+    rounds = []
+
+    def checked(pins, rulings, kb):
+        before = {wid: reasoner._terms(held, kb) for wid, held in pins.items()}
+        grown = original(pins, rulings, kb)
+        by_work = rulings_by_work(graph)
+        after = {wid: reasoner._terms(held, kb) for wid, held in pins.items()}
+        for wid in pins:
+            assert after[wid] == relicense_terms(by_work.get(wid, []), kb)
+        assert sorted(grown) == sorted(wid for wid in pins if after[wid] != before[wid])
+        rounds.append(len(grown))
+        return grown
+
+    monkeypatch.setattr(reasoner, "_pin_round", checked)
+    regrown = 0
+    for seed in range(400):
+        for fuzz in (True, False):
+            graph = derive_compositional(random_graph(seed, max_works=6 + seed % 20))
+            rounds.clear()
+            iterations = reasoner._ruling_fixpoint(graph, seed_kb, fuzz)
+            # Once before the first round, then once per round that adds rulings.
+            assert len(rounds) == iterations
+            # Runs where a round's rulings pin a relied work further.
+            regrown += sum(rounds[1:]) > 0
+    assert regrown > 20
 
 
 def test_diamond_ladders_reason_in_polynomial_time(seed_kb):

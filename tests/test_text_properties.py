@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import random
 from bisect import bisect_right
+from string import ascii_letters, digits
 from contextlib import redirect_stdout
 
 from hypothesis import given, settings
@@ -43,7 +44,7 @@ from licflow.kb import _PROFILE_KEYS, _RULE_KEYS
 
 from _helpers import action, graph_of, inputs_of, work
 from graphgen import random_graph
-from oracleutil import naive_load_kb, naive_tokens
+from oracleutil import NAIVE_NAME_RE, naive_load_kb, naive_tokens
 
 # Bounded, so tier-1 stays fast, and without an example database.
 BOUNDED = settings(max_examples=60, deadline=None, database=None)
@@ -308,6 +309,20 @@ def _assert_lexes_like_the_oracle(text: str) -> bool:
 @given(_arbitrary_text | _statements | _token_soup | _names)
 def test_the_lexer_agrees_with_the_per_line_oracle(text):
     _assert_lexes_like_the_oracle(text)
+
+
+def _span(match):
+    return None if match is None else match.span()
+
+
+@BOUNDED
+@given(st.text(alphabet=ascii_letters + digits + "_:.+-" + " \t\r\n" + '#"<>;,@é'))
+def test_the_name_pattern_matches_the_reference_spelling(text):
+    # `_tokenize` matches names where a token starts and `serialize_graph`
+    # fullmatches ids, so both must agree with the oracle's spelling.
+    for pos in range(len(text) + 1):
+        assert _span(_NAME_RE.match(text, pos)) == _span(NAIVE_NAME_RE.match(text, pos))
+    assert _span(_NAME_RE.fullmatch(text)) == _span(NAIVE_NAME_RE.fullmatch(text))
 
 
 _PIECES = list(' \t\r\n#"\\<>.;,:@+-_09aZé') + ["\r\n", "mg:", "@prefix", "12ab", "\\q"]
