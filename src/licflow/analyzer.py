@@ -8,11 +8,10 @@ base, and target.
 
 from __future__ import annotations
 
-import functools
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .kb import (
     KnowledgeBase,
@@ -29,6 +28,7 @@ from .model import (
     ActionKind,
     EdgeKind,
     PublishManner,
+    Work,
     WorkflowGraph,
     closure,
     edge_parents,
@@ -110,30 +110,56 @@ def published_targets(graph: WorkflowGraph) -> list[str]:
 
 
 # (code.rank, subject, code, content) of a (code, subject) pair, one tuple per
-# pair and index: tuples sort in report order, and equal findings are one object.
+# pair and index: tuples sort in report order, and equal findings are equal.
 Finding = tuple[tuple[int, int], str, ReportCode, str]
 
 
-def _settled(compute: Callable[..., Any]) -> Callable[..., Any]:
-    """Settle `compute(index, *key)` on first use and keep it for later targets."""
+class _Findings(dict):
+    """The finding of each (code, subject) pair, its wording rendered on first use."""
 
-    @functools.wraps(compute)
-    def lookup(index: AnalysisIndex, *key: object) -> Any:
-        try:
-            return index._memo[(compute, *key)]
-        except KeyError:
-            value = index._memo[(compute, *key)] = compute(index, *key)
-            return value
+    def __init__(self, works: dict[str, Work]) -> None:
+        self.works = works
 
-    return lookup
+    def __missing__(self, key: tuple[ReportCode, str]) -> Finding:
+        code, subject = key
+        self[key] = found = (code.rank, subject, code, render(code, self.works[subject].name))
+        return found
+
+
+def _release_codes(rule: Rule, manner: PublishManner) -> tuple[ReportCode, ...]:
+    """Codes a ruling by `rule` carries into a release in the given manner.
+
+    Restrictions conditioned on publication stay silent for internal
+    releases; restrictions on use apply regardless.
+    """
+    codes = [_USE_RESTRICTION_CODES.get(r) for r in rule.use_restrictions]
+    if manner is not PublishManner.INTERNAL:
+        codes += map(_PUBLISH_RESTRICTION_CODES.get, rule.publish_restrictions)
+        codes.append(None if rule.allow_sharing else ReportCode.E3)
+    if manner is PublishManner.SELL:
+        noncommercial = Restriction.NON_COMMERCIAL_OUTPUT in rule.use_restrictions
+        codes.append(ReportCode.E5 if noncommercial else None)
+    return tuple(code for code in codes if code is not None)
+
+
+class _Settled(NamedTuple):
+    """What the checks find for one work, whichever target's closure holds it."""
+
+    nonstandard: list[Finding]  # W1
+    revocability: list[Finding]  # W2, W3
+    rights: list[Finding]  # E2, E4, W4 for the requests of the action making it
+    conflicts: list[Finding]  # E6 and both kinds of E10
+    # (code, subject) of each E7/E8, raised when the target adds exclusive terms.
+    freedom: list[tuple[ReportCode, str]]
+    exclusive: bool  # whether the work's licensing adds exclusive terms of its own
 
 
 class AnalysisIndex:
     """Whole-graph facts of one reasoned graph, grouped once for every target.
 
     What the checks find for a work does not depend on the target whose
-    closure holds it, so each work's findings are settled on first use and
-    kept for later targets. Only E9 is decided per target.
+    closure holds it, so each work is settled in one call on its first use
+    and read by later targets. Only E9 is decided per target.
     """
 
     def __init__(self, graph: WorkflowGraph, kb: KnowledgeBase) -> None:
@@ -147,7 +173,12 @@ class AnalysisIndex:
         for request in graph.requests:
             output = graph.actions[request.action].output
             self.requests.setdefault(output, []).append(request)
-        self._memo: dict[tuple, Any] = {}
+        self.findings = _Findings(graph.works)
+        self.settled: dict[str, _Settled] = {}
+        self._profiles: dict[str, list[LicenseProfile]] = {}
+        self._answers: dict[tuple[str, Usage], list[Finding]] = {}
+        # The codes a ruling carries into a release, by manner and rule id.
+        self._release = {manner: {} for manner in PublishManner}
         # (ruling, rule) of each ruling whose rule is known, by work; and per
         # work under a Llama-exclusive ruling, each deriving output that
         # consumes it under another license, once per such ruling.
@@ -158,6 +189,9 @@ class AnalysisIndex:
             if rule is None:
                 continue
             self.ruled.setdefault(record.work, []).append((record, rule))
+            if rule.id not in self._release[PublishManner.SELL]:
+                for manner, codes in self._release.items():
+                    codes[rule.id] = _release_codes(rule, manner)
             if Restriction.LLAMA_EXCLUSIVE in rule.use_restrictions:
                 self.llama_uses.setdefault(record.work, []).extend(
                     out
@@ -166,138 +200,91 @@ class AnalysisIndex:
                     and graph.works[out].license != rule.license
                 )
 
-    @_settled
-    def finding(self, code: ReportCode, subject: str) -> Finding:
-        """The one tuple of a (code, subject) pair, its wording rendered once."""
-        return (code.rank, subject, code, render(code, self.graph.works[subject].name))
-
     def _about(self, subject: str, codes: Iterable) -> list[Finding]:
         """The findings of each code about one subject; a None code finds nothing."""
-        return [self.finding(code, subject) for code in codes if code is not None]
+        return [self.findings[code, subject] for code in codes if code is not None]
 
-    @_settled
     def profiles(self, work_id: str) -> list[LicenseProfile]:
-        """Known profiles of the licenses that speak for a work."""
-        work, kb = self.graph.works[work_id], self.kb
-        rulings = self.rulings.get(work_id, [])
-        members = members_of(work, work.license, rulings, kb)
-        return [kb.licenses[lic] for lic in members if lic in kb.licenses]
+        """Known profiles of the licenses that speak for a work, read once."""
+        if work_id not in self._profiles:
+            work, kb = self.graph.works[work_id], self.kb
+            members = members_of(work, work.license, self.rulings.get(work_id, []), kb)
+            self._profiles[work_id] = [kb.licenses[m] for m in members if m in kb.licenses]
+        return self._profiles[work_id]
 
-    @_settled
-    def nonstandard(self, work_id: str) -> list[Finding]:
-        """W1 when the work sits under a license not meant for its material type."""
-        work_type = self.graph.works[work_id].work_type
-        misfit = any(
-            profile.framework is not LicenseFramework.PUBLIC_DOMAIN_LIKE
-            and work_type not in profile.intended_types
-            for profile in self.profiles(work_id)
-        )
-        return self._about(work_id, [ReportCode.W1] if misfit else [])
-
-    @_settled
-    def revocability(self, work_id: str) -> list[Finding]:
-        """W2 under a revocable license, W3 where revocability is unstated."""
-        stances = {profile.revocable for profile in self.profiles(work_id)}
-        return self._about(work_id, map(_REVOCABLE.get, stances))
-
-    @_settled
-    def rights(self, work_id: str) -> list[Finding]:
-        """E2/E4 and W4 for the requests of the action that makes the work."""
-        return [
-            finding
-            for record in self.requests.get(work_id, ())
-            for finding in self._answers(record.target_work, record.usage)
-        ]
-
-    @_settled
-    def _answers(self, work_id: str, usage: Usage) -> list[Finding]:
-        """E2/E4 if a license of the work reserves the usage, W4 if one omits it."""
-        requirements = {
-            usage_requirement(self.kb, profile.id, usage)
-            for profile in self.profiles(work_id)
-        }
-        codes = []
-        if Requirement.RESERVED in requirements:
-            codes.append(ReportCode.E4 if usage is Usage.SUBLICENSE else ReportCode.E2)
-        if Requirement.NOT_STATED in requirements:
-            codes.append(ReportCode.W4)
-        return self._about(work_id, codes)
-
-    @_settled
-    def publish(self, work_id: str, manner: PublishManner) -> list[Finding]:
-        """Notices, warnings and errors the work's rulings carry into a release.
-
-        Restrictions conditioned on publication stay silent for internal
-        releases; restrictions on use apply regardless.
-        """
-        sharing = manner in (PublishManner.SHARE, PublishManner.SELL)
-        found = []
-        for record, rule in self.ruled.get(work_id, ()):
-            codes = [_USE_RESTRICTION_CODES.get(r) for r in rule.use_restrictions]
-            if manner is not PublishManner.INTERNAL:
-                codes += map(_PUBLISH_RESTRICTION_CODES.get, rule.publish_restrictions)
-            if (
-                Restriction.NON_COMMERCIAL_OUTPUT in rule.use_restrictions
-                and manner is PublishManner.SELL
-            ):
-                codes.append(ReportCode.E5)
-            if sharing and not rule.allow_sharing:
-                codes.append(ReportCode.E3)
-            found += self._about(record.relied_work, codes)
-        return found
-
-    @_settled
-    def freedom(self, work_id: str) -> list[Finding]:
-        """E7/E8 for the work's rulings, raised when the target adds exclusive terms."""
-        found = []
-        for record, rule in self.ruled.get(work_id, ()):
-            codes = map(_FREEDOM.get, rule.publish_restrictions)
-            found += self._about(record.relied_work, codes)
-        return found
-
-    @_settled
-    def exclusive(self, work_id: str) -> bool:
-        """Whether the work's licensing adds exclusive terms of its own."""
-        return any(
-            profile.framework is not LicenseFramework.PUBLIC_DOMAIN_LIKE
-            and (
-                Usage.COMMERCIAL in profile.reserved
-                or any(rule.use_restrictions for rule in profile.rules)
-            )
-            for profile in self.profiles(work_id)
-        )
-
-    def _relicense_forbidden(self, work_id: str, new_license: str) -> bool:
-        """Whether the terms the work answers to forbid registering `new_license`."""
-        admitted = relicense_terms(self.rulings.get(work_id, ()), self.kb)[1]
-        if admitted is not None and new_license not in admitted:
-            return True
-        return any(Usage.RELICENSE in p.reserved for p in self.profiles(work_id))
-
-    @_settled
-    def conflicts(self, work_id: str) -> list[Finding]:
-        """E6 for a forbidden registration making the work, E10 for its conflict
-        and for each exclusive-terms ruling whose license it is not under."""
+    def settle(self, work_id: str) -> _Settled:
+        """Everything the checks find for a work but its publish findings."""
+        if work_id in self.settled:
+            return self.settled[work_id]
         work, producer = self.graph.works[work_id], self.graph.producers.get(work_id)
-        codes = [
+        profiles, ruled = self.profiles(work_id), self.ruled.get(work_id, ())
+        # Public-domain-like licenses fit any work and add no terms of their own.
+        binding = [
+            p for p in profiles if p.framework is not LicenseFramework.PUBLIC_DOMAIN_LIKE
+        ]
+        # E10 for each exclusive-terms ruling whose license the work is not
+        # under and for its conflict, E6 for a forbidden registration making it.
+        conflicts = [
             ReportCode.E10
-            for _, rule in self.ruled.get(work_id, ())
+            for _, rule in ruled
             if Restriction.EXCLUSIVE_TERMS in rule.publish_restrictions
             and work.license != rule.license
         ]
-        rulings = self.rulings.get(work_id, [])
-        if settle_license(work, producer, rulings, self.kb)[1] is not None:
-            codes.append(ReportCode.E10)
+        if settle_license(work, producer, self.rulings.get(work_id, []), self.kb)[1]:
+            conflicts.append(ReportCode.E10)
         if (
             producer is not None
             and producer.kind is ActionKind.REGISTER_LICENSE
             and producer.license_to_register is not None
-            and self._relicense_forbidden(
-                producer.inputs[0].work, producer.license_to_register
-            )
         ):
-            codes.append(ReportCode.E6)
-        return self._about(work_id, codes)
+            source, new = producer.inputs[0].work, producer.license_to_register
+            admitted = relicense_terms(self.rulings.get(source, ()), self.kb)[1]
+            if (admitted is not None and new not in admitted) or any(
+                Usage.RELICENSE in p.reserved for p in self.profiles(source)
+            ):
+                conflicts.append(ReportCode.E6)
+        misfit = any(work.work_type not in p.intended_types for p in binding)
+        settled = self.settled[work_id] = _Settled(
+            nonstandard=self._about(work_id, [ReportCode.W1] if misfit else []),
+            revocability=self._about(work_id, {_REVOCABLE.get(p.revocable) for p in profiles}),
+            rights=[
+                finding
+                for record in self.requests.get(work_id, ())
+                for finding in self._rights(record.target_work, record.usage)
+            ],
+            conflicts=self._about(work_id, conflicts),
+            freedom=[
+                (_FREEDOM[r], record.relied_work)
+                for record, rule in ruled
+                for r in rule.publish_restrictions
+                if r in _FREEDOM
+            ],
+            exclusive=any(
+                Usage.COMMERCIAL in p.reserved or any(r.use_restrictions for r in p.rules)
+                for p in binding
+            ),
+        )
+        return settled
+
+    def _rights(self, work_id: str, usage: Usage) -> list[Finding]:
+        """E2/E4 if a license of the work reserves the usage, W4 if one omits it."""
+        if (work_id, usage) not in self._answers:
+            profiles = self.profiles(work_id)
+            answers = {usage_requirement(self.kb, p.id, usage) for p in profiles}
+            codes = [ReportCode.W4] if Requirement.NOT_STATED in answers else []
+            if Requirement.RESERVED in answers:
+                codes.append(ReportCode.E4 if usage is Usage.SUBLICENSE else ReportCode.E2)
+            self._answers[work_id, usage] = self._about(work_id, codes)
+        return self._answers[work_id, usage]
+
+    def publish(self, work_id: str, manner: PublishManner) -> list[Finding]:
+        """Notices, warnings and errors the work's rulings carry into a release."""
+        codes, findings = self._release[manner], self.findings
+        return [
+            findings[code, record.relied_work]
+            for record, rule in self.ruled.get(work_id, ())
+            for code in codes[rule.id]
+        ]
 
 
 @dataclass
@@ -307,7 +294,7 @@ class _Facts:
     index: AnalysisIndex
     target: str
     manner: PublishManner
-    full: set[str]
+    full: dict[str, _Settled]  # each work of the full closure, settled
     contained: set[str]
 
 
@@ -326,19 +313,19 @@ def _facts(index: AnalysisIndex, published: str) -> _Facts:
         index=index,
         target=published,
         manner=publisher.publish_manner,
-        full=closure(published, index.full_parents),
+        full={wid: index.settle(wid) for wid in closure(published, index.full_parents)},
         contained=closure(published, index.ms_parents),
     )
 
 
 def check_nonstandard_licensing(facts: _Facts) -> list[Finding]:
     """W1 when a work sits under a license not meant for its material type."""
-    return [f for wid in facts.full for f in facts.index.nonstandard(wid)]
+    return [f for work in facts.full.values() for f in work.nonstandard]
 
 
 def check_revocability(facts: _Facts) -> list[Finding]:
     """W2 under revocable licenses, W3 where revocability is unstated."""
-    return [f for wid in facts.full for f in facts.index.revocability(wid)]
+    return [f for work in facts.full.values() for f in work.revocability]
 
 
 def check_publish_restrictions(facts: _Facts) -> list[Finding]:
@@ -349,15 +336,15 @@ def check_publish_restrictions(facts: _Facts) -> list[Finding]:
 
 def check_conflicts(facts: _Facts) -> list[Finding]:
     """Relicensing, exclusivity, and copyleft-collision errors (E6 to E10)."""
-    index, full = facts.index, facts.full
-    found = [f for wid in full for f in index.conflicts(wid)]
-    if index.exclusive(facts.target):
-        found += (f for wid in facts.contained for f in index.freedom(wid))
+    findings, full = facts.index.findings, facts.full
+    found = [f for work in full.values() for f in work.conflicts]
+    if full[facts.target].exclusive:
+        found += (findings[key] for wid in facts.contained for key in full[wid].freedom)
     # E9 once per Llama-exclusive ruling and deriving output in the closure.
     found += (
-        index.finding(ReportCode.E9, wid)
+        findings[ReportCode.E9, wid]
         for wid in full
-        for output in index.llama_uses.get(wid, ())
+        for output in facts.index.llama_uses.get(wid, ())
         if output in full
     )
     return found
@@ -376,18 +363,25 @@ def analyze_publication(
 ) -> AnalysisResult:
     """Run every compliance check against one published work.
 
-    Pass the same `AnalysisIndex` of `graph` to every target of one
-    verdict; without one, the call builds its own.
+    Pass the same `AnalysisIndex` of `graph` and `kb` to every target of
+    one verdict; without one, the call builds its own. An index built for
+    another graph or knowledge base raises ValueError.
     """
-    facts = _facts(index or AnalysisIndex(graph, kb), published)
+    if index is None:
+        index = AnalysisIndex(graph, kb)
+    elif index.graph is not graph:
+        raise ValueError("the analysis index was built for another graph")
+    elif index.kb is not kb:
+        raise ValueError("the analysis index was built for another knowledge base")
+    facts = _facts(index, published)
     findings = check_nonstandard_licensing(facts) + check_revocability(facts)
-    findings += (f for wid in facts.full for f in facts.index.rights(wid))
+    findings += (f for work in facts.full.values() for f in work.rights)
     findings += check_publish_restrictions(facts) + check_conflicts(facts)
-    # Equal findings are one tuple and sort next to each other, so each run
-    # of them becomes one Report, repeated.
+    # Equal findings are equal tuples: count them, sort the distinct ones,
+    # and repeat each one's Report as often as it was found.
     reports: list[Report] = []
-    for (_, subject, code, content), run in itertools.groupby(sorted(findings)):
-        reports += [Report(code, subject, published, content)] * len(list(run))
+    for (_, subject, code, content), count in sorted(Counter(findings).items()):
+        reports += [Report(code, subject, published, content)] * count
     return AnalysisResult(
         target=published,
         reports=reports,

@@ -56,6 +56,7 @@ class Usage(Enum):
 class Requirement(Enum):
     """How a license answers a request for one usage right."""
 
+    __hash__ = object.__hash__
     GRANTED = "granted"
     RESERVED = "reserved"
     NOT_STATED = "not_stated"
@@ -77,6 +78,7 @@ class RelicensePolicy(Enum):
 
 
 class Restriction(Enum):
+    __hash__ = object.__hash__
     INCLUDE_LICENSE = "include_license"
     INCLUDE_NOTICE = "include_notice"
     STATE_CHANGES = "state_changes"
@@ -102,6 +104,7 @@ _USE_SCOPED = {
 
 
 class LicenseFramework(Enum):
+    __hash__ = object.__hash__
     OSS = "oss"
     FREE_CONTENT = "free_content"
     MODEL_LICENSE = "model_license"
@@ -109,6 +112,7 @@ class LicenseFramework(Enum):
 
 
 class Revocability(Enum):
+    __hash__ = object.__hash__
     YES = "yes"
     NO = "no"
     UNSTATED = "unstated"

@@ -106,6 +106,7 @@ class InputRole(Enum):
 
 
 class PublishManner(Enum):
+    __hash__ = object.__hash__
     INTERNAL = "internal"
     SHARE = "share"
     SELL = "sell"

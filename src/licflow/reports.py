@@ -28,6 +28,7 @@ _SEVERITY_BY_PREFIX = {"E": Severity.ERROR, "W": Severity.WARNING, "N": Severity
 class ReportCode(Enum):
     """Stable identifiers for every report the analyzer can emit."""
 
+    __hash__ = object.__hash__
     N1 = "N1"    # retain original license file
     N2 = "N2"    # retain notices
     N3 = "N3"    # state modifications

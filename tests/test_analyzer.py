@@ -20,7 +20,9 @@ from licflow import (
     WorkForm,
     WorkType,
     analyze_publication,
+    bundled_rules_dir,
     dependency_closure,
+    load_kb,
     parse_workflow,
     published_targets,
     run_all,
@@ -41,6 +43,7 @@ from _helpers import (
     rule,
     work,
 )
+from graphgen import random_graph
 from oracleutil import naive_reports
 
 
@@ -776,6 +779,47 @@ def test_analysis_settles_only_the_target_closure(seed_kb, monkeypatch):
     assert sorted(settled) == sorted(full)
     assert len(read) == len(set(read))
     assert asked == []
+
+
+def test_an_index_of_another_graph_or_knowledge_base_is_refused(
+    seed_kb, setting_paths
+):
+    first, third = (
+        run_all(parse_workflow(setting_paths[name].read_text(encoding="utf-8")), seed_kb)[0]
+        for name in ("i", "iii")
+    )
+    own = analyze_publication(third, seed_kb, "E", analyzer.AnalysisIndex(third, seed_kb))
+    assert sorted(code_multiset(own.reports).elements()) == ["N1", "N2", "W5"]
+    with pytest.raises(ValueError, match="another graph"):
+        analyze_publication(third, seed_kb, "E", analyzer.AnalysisIndex(first, seed_kb))
+    # An equal knowledge base loaded again is still another one.
+    other_kb = load_kb([bundled_rules_dir()])
+    with pytest.raises(ValueError, match="another knowledge base"):
+        analyze_publication(third, seed_kb, "E", analyzer.AnalysisIndex(third, other_kb))
+
+
+def test_one_index_renders_each_wording_once(seed_kb, monkeypatch):
+    rendered = []
+
+    def counting(code, name, original=analyzer.render):
+        rendered.append((code, name))
+        return original(code, name)
+
+    monkeypatch.setattr(analyzer, "render", counting)
+    for seed in range(40):
+        # Generated works have distinct names, so a name stands for its work.
+        reasoned, _ = run_all(random_graph(seed, max_works=10), seed_kb)
+        index = analyzer.AnalysisIndex(reasoned, seed_kb)
+        rendered.clear()
+        reported = set()
+        for _ in range(2):
+            for target in published_targets(reasoned):
+                result = analyze_publication(reasoned, seed_kb, target, index)
+                reported |= {
+                    (r.code, reasoned.works[r.subject].name) for r in result.reports
+                }
+        assert len(rendered) == len(set(rendered)), seed
+        assert reported <= set(rendered), seed
 
 
 def test_every_report_targets_the_published_work(seed_kb):

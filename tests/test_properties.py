@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from collections import Counter
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from licflow import (
     ActionKind,
     ExitClass,
@@ -15,6 +18,7 @@ from licflow import (
     run_all,
     serialize_graph,
 )
+from licflow.analyzer import AnalysisIndex
 from licflow.reports import sort_reports
 
 from _helpers import (
@@ -107,6 +111,24 @@ def test_generated_graphs_round_trip_through_the_text_format():
         text = serialize_graph(graph)
         assert parse_workflow(text) == graph, seed
         assert serialize_graph(parse_workflow(text)) == text, seed
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 10**6), st.integers(4, 12), st.randoms(use_true_random=False))
+def test_a_shared_index_answers_every_target_as_a_fresh_one_does(
+    seed_kb, seed, works, rng
+):
+    # What the index settles for a work may not depend on which target
+    # asked for it first.
+    reasoned, _ = run_all(random_graph(seed, works), seed_kb)
+    targets = published_targets(reasoned)
+    rng.shuffle(targets)
+    shared = AnalysisIndex(reasoned, seed_kb)
+    for target in targets:
+        fresh = AnalysisIndex(reasoned, seed_kb)
+        assert analyze_publication(reasoned, seed_kb, target, shared) == (
+            analyze_publication(reasoned, seed_kb, target, fresh)
+        ), (seed, works, target)
 
 
 def test_reasoning_is_deterministic(seed_kb):

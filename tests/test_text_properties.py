@@ -207,7 +207,7 @@ def test_arbitrary_rules_files_fail_only_with_kb_errors(tmp_path_factory, data):
 # Round trip
 # ---------------------------------------------------------------------------
 
-_ids = st.from_regex(_NAME_RE, fullmatch=True)
+_ids = st.from_regex(NAIVE_NAME_RE, fullmatch=True)
 _names = st.text() | st.text(alphabet='"\\\n\r\t #;.,:<>é漢\U0001f600a')
 _licenses = st.none() | _names
 
