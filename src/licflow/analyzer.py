@@ -33,14 +33,7 @@ from .model import (
     closure,
     edge_parents,
 )
-from .reasoner import (
-    RequestRecord,
-    RulingRecord,
-    members_of,
-    relicense_terms,
-    rulings_by_work,
-    settle_license,
-)
+from .reasoner import RequestRecord, RulingRecord, settled_licensing
 from .reports import Report, ReportCode, render
 
 
@@ -159,7 +152,8 @@ class AnalysisIndex:
 
     What the checks find for a work does not depend on the target whose
     closure holds it, so each work is settled in one call on its first use
-    and read by later targets. Only E9 is decided per target.
+    and read by later targets. Only E9 is decided per target. A graph whose
+    licenses were never determined has no licensing to read: ValueError.
     """
 
     def __init__(self, graph: WorkflowGraph, kb: KnowledgeBase) -> None:
@@ -167,7 +161,7 @@ class AnalysisIndex:
         self.kb = kb
         self.full_parents = edge_parents(graph, _FULL_KINDS)
         self.ms_parents = edge_parents(graph, _MS_KINDS)
-        self.rulings = rulings_by_work(graph)
+        self.licensing = settled_licensing(graph)
         # Requests by the output of the action that makes them.
         self.requests: dict[str, list[RequestRecord]] = {}
         for request in graph.requests:
@@ -207,8 +201,7 @@ class AnalysisIndex:
     def profiles(self, work_id: str) -> list[LicenseProfile]:
         """Known profiles of the licenses that speak for a work, read once."""
         if work_id not in self._profiles:
-            work, kb = self.graph.works[work_id], self.kb
-            members = members_of(work, work.license, self.rulings.get(work_id, []), kb)
+            members, kb = self.licensing[work_id].members, self.kb
             self._profiles[work_id] = [kb.licenses[m] for m in members if m in kb.licenses]
         return self._profiles[work_id]
 
@@ -230,7 +223,7 @@ class AnalysisIndex:
             if Restriction.EXCLUSIVE_TERMS in rule.publish_restrictions
             and work.license != rule.license
         ]
-        if settle_license(work, producer, self.rulings.get(work_id, []), self.kb)[1]:
+        if self.licensing[work_id].conflict:
             conflicts.append(ReportCode.E10)
         if (
             producer is not None
@@ -238,7 +231,7 @@ class AnalysisIndex:
             and producer.license_to_register is not None
         ):
             source, new = producer.inputs[0].work, producer.license_to_register
-            admitted = relicense_terms(self.rulings.get(source, ()), self.kb)[1]
+            admitted = self.licensing[source].admitted
             if (admitted is not None and new not in admitted) or any(
                 Usage.RELICENSE in p.reserved for p in self.profiles(source)
             ):

@@ -25,8 +25,8 @@ from .analyzer import (
 )
 from .interchange import InterchangeError, export_dot, parse_workflow
 from .kb import KBError, KnowledgeBase, bundled_rules_dir, load_kb
-from .model import GraphError, WorkflowGraph, validate_graph
-from .reasoner import run_all
+from .model import GraphError, validate_graph
+from .reasoner import run_all, unknown_licenses
 from .reports import Report, Severity, parse_code, render, sort_reports
 
 # Usage and input failures; results exit with their `ExitClass` value.
@@ -95,22 +95,6 @@ def _print_reports_human(reports: list[Report], heading: Optional[str]) -> None:
     print("  total: {} errors, {} warnings, {} notices".format(*counts))
 
 
-def _unknown_licenses(graph: WorkflowGraph, kb: KnowledgeBase) -> list[str]:
-    """Each declared or registered license id the loaded KB does not know."""
-    unknown = [
-        f"work '{wid}' declares unknown license '{work.license}'"
-        for wid, work in sorted(graph.works.items())
-        if work.license is not None and work.license not in kb.licenses
-    ]
-    unknown += [
-        f"action '{aid}' registers unknown license '{action.license_to_register}'"
-        for aid, action in sorted(graph.actions.items())
-        if action.license_to_register is not None
-        and action.license_to_register not in kb.licenses
-    ]
-    return unknown
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         kb = _load_kb(args)
@@ -120,9 +104,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         graph = parse_workflow(_read_file(args.workflow))
     except (InterchangeError, GraphError, OSError) as err:
         return _fail(str(err))
-    # The reasoner skips licenses it does not know, so an unknown id
-    # would silently drop every finding it should have raised.
-    unknown = _unknown_licenses(graph, kb)
+    # `run_all` refuses unknown ids too; they are reported first here.
+    unknown = unknown_licenses(graph, kb)
     if unknown:
         return _fail("; ".join(unknown))
     targets = published_targets(graph)

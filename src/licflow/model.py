@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Seque
 from .reports import Report, ReportCode, render
 
 if TYPE_CHECKING:
-    from .reasoner import RequestRecord, RulingRecord
+    from .reasoner import Licensing, RequestRecord, RulingRecord
 
 
 class GraphError(ValueError):
@@ -194,6 +194,8 @@ class WorkflowGraph:
         # work's producing action, and the outputs of the actions consuming it.
         self.producers: dict[str, ActionNode] = {}
         self.consumers: dict[str, list[str]] = {}
+        # Each work's settled licensing, written by `determine_licenses`.
+        self.licensing: dict[str, Licensing] = {}
         for action in self.actions.values():
             _link_action(self, action)
 

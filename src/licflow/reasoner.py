@@ -18,6 +18,7 @@ from .kb import (
     OutputDefinition,
     RelicensePolicy,
     Requirement,
+    UnknownLicense,
     Usage,
     match_rules,
     usage_requirement,
@@ -79,6 +80,15 @@ class DeferredConflict:
 
     work: str
     implicated: tuple[str, ...]
+
+
+class Licensing(NamedTuple):
+    """One work's licensing as `determine_licenses` settled it; works share equal sets."""
+
+    license: str  # the license settlement picked; a declared one stands
+    conflict: Optional[DeferredConflict]
+    members: frozenset[str]  # the licenses that speak for the work
+    admitted: Optional[frozenset[str]]  # what its rulings admit, None if unconstrained
 
 
 @dataclass
@@ -256,6 +266,13 @@ def relicense_terms(
 def _settle(
     work: Work, producer: Optional[ActionNode], terms: _Terms, kb: KnowledgeBase
 ) -> tuple[str, Optional[DeferredConflict]]:
+    """The license a work ends up under, and its conflict if it has one.
+
+    A declared license stands, then a registered one. Otherwise the
+    smallest admitted license wins, a pinned one before any other. With
+    nothing admitted the first pinned copyleft license, or else the first
+    pinned license, stands in and the work is in conflict.
+    """
     pinned, admitted = terms
     declared = _declared_license(work)
     if declared is not None:
@@ -270,40 +287,6 @@ def _settle(
     implicated = sorted(pinned)
     copyleft = [license_id for license_id in implicated if kb.profile(license_id).copyleft]
     return (copyleft or implicated)[0], DeferredConflict(work.id, tuple(implicated))
-
-
-def settle_license(
-    work: Work,
-    producer: Optional[ActionNode],
-    rulings: Iterable[RulingRecord],
-    kb: KnowledgeBase,
-) -> tuple[str, Optional[DeferredConflict]]:
-    """The license a work ends up under, and its conflict if it has one.
-
-    A declared license stands, then a registered one. Otherwise the
-    smallest admitted license wins, a pinned one before any other. With
-    nothing admitted the first pinned copyleft license, or else the first
-    pinned license, stands in and the work is in conflict.
-    """
-    return _settle(work, producer, relicense_terms(rulings, kb), kb)
-
-
-def members_of(
-    work: Work,
-    license_id: Optional[str],
-    rulings: Iterable[RulingRecord],
-    kb: KnowledgeBase,
-) -> set[str]:
-    """Licenses that can speak for a work under `license_id`, given its own rulings.
-
-    A declared license speaks alone. A derived work answers to its
-    license plus every license its rulings pin it to, because any of
-    those could still claim the work.
-    """
-    members = set() if license_id is None else {license_id}
-    if _declared_license(work) is None:
-        members |= relicense_terms(rulings, kb)[0]
-    return members
 
 
 def rulings_by_work(graph: WorkflowGraph) -> dict[str, list[RulingRecord]]:
@@ -365,7 +348,7 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
         for source in sorted(changed):
             work, terms = graph.works[source], _terms(pins[source], kb)
             settled, _ = _settle(work, graph.producers.get(source), terms, kb)
-            # As in `members_of`: a declared license speaks alone.
+            # As in `determine_licenses`: a declared license speaks alone.
             members = {settled} | (terms[0] if _declared_license(work) is None else set())
             unmatched = members.intersection(kb.licenses) - matched[source]
             matched[source] |= unmatched
@@ -399,34 +382,53 @@ def derive_rulings(
 def determine_licenses(
     graph: WorkflowGraph, kb: KnowledgeBase
 ) -> tuple[WorkflowGraph, list[DeferredConflict]]:
-    """Write each work's license, keeping declared ones; conflicts in work-id order."""
+    """Write each work's license, keeping declared ones; conflicts in work-id order.
+
+    Each work's `Licensing` goes to `graph.licensing`, which later stages read.
+    """
     by_work = rulings_by_work(graph)
     conflicts: list[DeferredConflict] = []
+    shared: dict[frozenset[str], frozenset[str]] = {}
+    graph.licensing = {}
     for wid, work in sorted(graph.works.items()):
-        license_id, conflict = settle_license(
-            work, graph.producers.get(wid), by_work.get(wid, []), kb
-        )
+        pinned, admitted = terms = relicense_terms(by_work.get(wid, ()), kb)
+        license_id, conflict = _settle(work, graph.producers.get(wid), terms, kb)
         if conflict is not None:
             conflicts.append(conflict)
         if work.license is None:
             work.license = license_id
             work.origin = Origin.DERIVED
+        # A declared license speaks alone. A derived work also answers to
+        # every license its rulings pin it to, as any of them could claim it.
+        members = frozenset({work.license, *(pinned if _declared_license(work) is None else ())})
+        if admitted is not None:
+            admitted = frozenset(admitted)
+            admitted = shared.setdefault(admitted, admitted)
+        graph.licensing[wid] = Licensing(
+            license_id, conflict, shared.setdefault(members, members), admitted
+        )
     return graph, conflicts
+
+
+def settled_licensing(graph: WorkflowGraph) -> dict[str, Licensing]:
+    """Each work's `Licensing`; ValueError if its licenses were never determined."""
+    if not graph.works.keys() <= graph.licensing.keys():
+        raise ValueError("licenses not determined: run run_all or determine_licenses first")
+    return graph.licensing
 
 
 def derive_requests(graph: WorkflowGraph, kb: KnowledgeBase) -> WorkflowGraph:
     """Derive the usage rights each action needs, licenses already settled."""
     mix_parents = edge_parents(graph, (EdgeKind.MIXWORK,))
-    by_work = rulings_by_work(graph)
+    licensing = settled_licensing(graph)
     # Each consumed work's sorted Mixwork closure, and whether every license
     # speaking for a work waives sublicensing, are settled once per work.
     closures = {wid: sorted(closure(wid, mix_parents)) for wid in graph.consumers}
     waived: dict[str, bool] = {}
-    for wid, work in graph.works.items():
-        members = members_of(work, work.license, by_work.get(wid, []), kb)
+    for wid in graph.works:
         answers = [
             usage_requirement(kb, license_id, Usage.SUBLICENSE)
-            for license_id in members.intersection(kb.licenses)
+            for license_id in licensing[wid].members.intersection(kb.licenses)
         ]
         waived[wid] = bool(answers) and all(a is Requirement.WAIVED for a in answers)
     # Requests made here are distinct, so only those already held can repeat.
@@ -444,10 +446,30 @@ def derive_requests(graph: WorkflowGraph, kb: KnowledgeBase) -> WorkflowGraph:
     return graph
 
 
+def unknown_licenses(graph: WorkflowGraph, kb: KnowledgeBase) -> list[str]:
+    """Each declared or registered license id the knowledge base does not know."""
+    unknown = [
+        f"work '{wid}' declares unknown license '{work.license}'"
+        for wid, work in sorted(graph.works.items())
+        if work.license is not None and work.license not in kb.licenses
+    ]
+    unknown += [
+        f"action '{aid}' registers unknown license '{action.license_to_register}'"
+        for aid, action in sorted(graph.actions.items())
+        if action.license_to_register is not None
+        and action.license_to_register not in kb.licenses
+    ]
+    return unknown
+
+
 def run_all(
     graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool = True
 ) -> tuple[WorkflowGraph, FixpointStats]:
-    """Run every derivation stage on a copy of the graph."""
+    """Run every derivation stage on a copy of the graph; unknown license ids raise."""
+    # The stages skip unknown ids, which would drop every finding they bear.
+    unknown = unknown_licenses(graph, kb)
+    if unknown:
+        raise UnknownLicense("; ".join(unknown))
     # Derived records and licenses are dropped; the graph maps are rebuilt.
     works = {
         wid: Work(wid, w.name, w.work_type, w.form, base_license(w, wid in graph.producers))

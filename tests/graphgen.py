@@ -45,6 +45,26 @@ LICENSE_POOL = [
     "Unlicense",
 ]
 
+# Licenses with exclusive terms: each reserves commercial use or restricts
+# use, so a release under one raises the E7/E8 of the rulings behind it.
+EXCLUSIVE_POOL = [
+    "CC-BY-NC-4.0",
+    "CC-BY-NC-SA-4.0",
+    "Llama2",
+    "MG-BY-NC",
+    "MG-BY-RAI",
+    "OpenRAIL-M",
+]
+
+# Copyleft licenses whose modification rulings carry E7/E8 candidates,
+# each with a typing its rules match.
+_FREEDOM_ROOTS = [
+    ("AGPL-3.0", WorkType.SOFTWARE, WorkForm.CODE),
+    ("GPL-3.0", WorkType.SOFTWARE, WorkForm.CODE),
+    ("CC-BY-SA-4.0", WorkType.DATASET, WorkForm.TEXT),
+    ("CC-BY-NC-SA-4.0", WorkType.DATASET, WorkForm.CORPUS),
+]
+
 _CONCRETE_FORMS = {
     WorkType.SOFTWARE: [WorkForm.CODE, WorkForm.EXE, WorkForm.SAAS, WorkForm.API],
     WorkType.MODEL: [WorkForm.WEIGHTS, WorkForm.EXE, WorkForm.SAAS, WorkForm.API],
@@ -99,8 +119,44 @@ def _new_work(graph: WorkflowGraph, rng: random.Random, licensed: bool) -> str:
     return wid
 
 
-def random_graph(seed: int, max_works: int = 6) -> WorkflowGraph:
-    """A structurally valid random workflow, derived works created by actions."""
+def _exclusive_releases(graph: WorkflowGraph, rng: random.Random, counter: int) -> None:
+    """Modify a new copyleft root, mix the result into a drawn work, and
+    publish both under licenses with exclusive terms."""
+    mixed_in = rng.choice(sorted(graph.works))
+    license_id, work_type, form = rng.choice(_FREEDOM_ROOTS)
+
+    def step(kind, inputs, license=None, manner=None) -> str:
+        nonlocal counter
+        wid = f"W{len(graph.works)}"
+        add_work(graph, Work(wid, f"Work {wid}", work_type, form, license=license))
+        if kind is not None:
+            counter += 1
+            add_action(graph, ActionNode(
+                id=f"A{counter}",
+                kind=kind,
+                inputs=[ActionInput(w) for w in inputs],
+                output=wid,
+                publish_manner=manner,
+                publish_form=form if manner is not None else None,
+            ))
+        return wid
+
+    root = step(None, [], license_id)
+    derived = step(ActionKind.MODIFY, [root])
+    mixed = step(ActionKind.COMBINE, [derived, mixed_in])
+    for source in (derived, mixed):
+        manner = rng.choice(list(PublishManner))
+        step(ActionKind.PUBLISH, [source], rng.choice(EXCLUSIVE_POOL), manner)
+
+
+def random_graph(seed: int, max_works: int = 6, exclusive: bool = False) -> WorkflowGraph:
+    """A structurally valid random workflow, derived works created by actions.
+
+    With `exclusive`, every published work is declared under a license of
+    `EXCLUSIVE_POOL`, and `_exclusive_releases` adds two such releases that
+    share a work ruled by a copyleft license. Without it, a seed draws the
+    graph it always has.
+    """
     rng = random.Random(seed)
     graph = WorkflowGraph()
     for _ in range(rng.randint(1, max(1, min(3, max_works - 2)))):
@@ -146,6 +202,8 @@ def random_graph(seed: int, max_works: int = 6) -> WorkflowGraph:
                 inputs.append(ActionInput(rng.choice(spare), InputRole.AUXILIARY))
 
         output = _new_work(graph, rng, licensed=False)
+        if exclusive and kind is ActionKind.PUBLISH:
+            graph.works[output].license = rng.choice(EXCLUSIVE_POOL)
         add_action(
             graph,
             ActionNode(
@@ -175,6 +233,7 @@ def random_graph(seed: int, max_works: int = 6) -> WorkflowGraph:
                 name=f"Work {wid}",
                 work_type=graph.works[source].work_type,
                 form=graph.works[source].form,
+                license=rng.choice(EXCLUSIVE_POOL) if exclusive else None,
             ),
         )
         add_action(
@@ -188,4 +247,7 @@ def random_graph(seed: int, max_works: int = 6) -> WorkflowGraph:
                 publish_form=graph.works[wid].form,
             ),
         )
+        counter += 1
+    if exclusive:
+        _exclusive_releases(graph, rng, counter)
     return graph

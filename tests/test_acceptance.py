@@ -29,7 +29,7 @@ from licflow import (
     serialize_graph,
 )
 from licflow.analyzer import AnalysisIndex
-from licflow.reasoner import determine_licenses, members_of, settle_license
+from licflow.reasoner import determine_licenses
 
 from _helpers import (
     action,
@@ -173,13 +173,16 @@ def _relicensing_kbs(seed_kb):
 
 def test_settlement_agrees_with_the_oracle_on_every_relicensing_mix(seed_kb):
     graph = graph_of([work("X", license="Unlicense"), work("W")])
-    derived = graph.works["W"]
     outcomes = Counter()
     for kb, most in _relicensing_kbs(seed_kb):
         for rule_ids in relicensing_cases(kb, most):
-            rulings = placed_rulings("W", "X", rule_ids)
+            graph.rulings = placed_rulings("W", "X", rule_ids)
+            graph.works["W"].license = None
             naive = {("W", "X", rule_id) for rule_id in rule_ids}
-            license_id, conflict = settle_license(derived, None, rulings, kb)
+            determine_licenses(graph, kb)
+            record = graph.licensing["W"]
+            license_id, conflict = record.license, record.conflict
+            assert graph.works["W"].license == license_id, rule_ids
             expected = naive_license_of(graph, kb, "W", naive)
             members = naive_members(graph, kb, "W", naive)
             if expected is None:
@@ -189,7 +192,7 @@ def test_settlement_agrees_with_the_oracle_on_every_relicensing_mix(seed_kb):
             else:
                 assert (license_id, conflict) == (expected, None), rule_ids
             # The oracle drops the ids the KB does not know, the default's too.
-            got = members_of(derived, license_id, rulings, kb) & kb.licenses.keys()
+            got = record.members & kb.licenses.keys()
             assert got == members, rule_ids
             pinned = {kb.rules[r].license for r in rule_ids if not r.endswith(":any")}
             outcomes["conflict" if conflict else "pinned" if license_id in pinned

@@ -22,12 +22,14 @@ from licflow import (
     analyze_publication,
     bundled_rules_dir,
     dependency_closure,
+    derive_compositional,
     load_kb,
     parse_workflow,
     published_targets,
     run_all,
 )
 from licflow import analyzer
+from licflow.reasoner import derive_requests, derive_rulings, determine_licenses
 
 from _helpers import (
     action,
@@ -755,29 +757,30 @@ def test_analysis_settles_only_the_target_closure(seed_kb, monkeypatch):
         ],
     )
     reasoned, _ = run_all(graph, seed_kb)
-    settled, read = [], []
-    for name, seen in (("settle_license", settled), ("members_of", read)):
-        def recording(work, *rest, original=getattr(analyzer, name), seen=seen):
-            seen.append(work.id)
-            return original(work, *rest)
+    read = []
 
-        monkeypatch.setattr(analyzer, name, recording)
+    class Recording(dict):
+        def __getitem__(self, work_id):
+            read.append(work_id)
+            return dict.__getitem__(self, work_id)
+
+    reasoned.licensing = Recording(reasoned.licensing)
     index = analyzer.AnalysisIndex(reasoned, seed_kb)
     result = analyze_publication(reasoned, seed_kb, "PA", index)
     full = dependency_closure(
         reasoned, "PA", (EdgeKind.MIXWORK, EdgeKind.SUBWORK, EdgeKind.AUXWORK)
     )
-    assert sorted(settled) == sorted(full)
-    # Members are read on demand, and E6 may read the registered work's
-    # input from behind its provenance edge.
-    assert set(read) <= full | {"B"}
+    assert index.settled.keys() == full
+    # Settled records are read on demand, and E6 may read the registered
+    # work's input from behind its provenance edge.
+    assert full <= set(read) <= full | {"B"}
     assert code_subject_multiset(result.reports)[("E6", "C")] == 1
-    # A later analysis on the same index settles and reads nothing again.
-    asked = []
+    # A later analysis on the same index reads and settles nothing again.
+    asked, reads = [], len(read)
     monkeypatch.setattr(analyzer, "usage_requirement", lambda *args: asked.append(args))
     analyze_publication(reasoned, seed_kb, "PA", index)
-    assert sorted(settled) == sorted(full)
-    assert len(read) == len(set(read))
+    assert index.settled.keys() == full
+    assert len(read) == reads
     assert asked == []
 
 
@@ -796,6 +799,28 @@ def test_an_index_of_another_graph_or_knowledge_base_is_refused(
     other_kb = load_kb([bundled_rules_dir()])
     with pytest.raises(ValueError, match="another knowledge base"):
         analyze_publication(third, seed_kb, "E", analyzer.AnalysisIndex(third, other_kb))
+
+
+def test_an_index_of_a_graph_whose_licenses_were_never_determined_is_refused(
+    seed_kb, setting_paths
+):
+    text = setting_paths["i"].read_text(encoding="utf-8")
+    graph = derive_rulings(derive_compositional(parse_workflow(text)), seed_kb)
+    for unsettled in (lambda: analyzer.AnalysisIndex(graph, seed_kb),
+                      lambda: derive_requests(graph, seed_kb)):
+        with pytest.raises(ValueError, match="determine_licenses"):
+            unsettled()
+    determine_licenses(graph, seed_kb)
+    derive_requests(graph, seed_kb)
+    reasoned, _ = run_all(parse_workflow(text), seed_kb)
+    for target in ("E", "F"):
+        assert analyze_publication(graph, seed_kb, target) == (
+            analyze_publication(reasoned, seed_kb, target)
+        )
+    # A work added after license determination has no settled licensing.
+    graph.works["Z"] = work("Z")
+    with pytest.raises(ValueError, match="determine_licenses"):
+        analyzer.AnalysisIndex(graph, seed_kb)
 
 
 def test_one_index_renders_each_wording_once(seed_kb, monkeypatch):

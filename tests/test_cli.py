@@ -23,12 +23,14 @@ from licflow import (
     Report,
     ReportCode,
     bundled_rules_dir,
+    parse_workflow,
     serialize_graph,
 )
 from licflow import analyzer, cli, model, reasoner
 from licflow.cli import DISCLAIMER, EXIT_USAGE, KB_ENV_VAR, main
 
 from _helpers import action, graph_of, publish, work
+from graphgen import random_graph
 
 CLEAN_WORKFLOW = """\
 @prefix mg: <urn:licflow:v1#> .
@@ -334,6 +336,72 @@ def test_whole_graph_grouping_happens_once_per_verdict(tmp_path, monkeypatch, ca
         counts.append(calls)
     assert counts[0]["edge_parents"] > 0 and counts[0]["rulings_by_work"] > 0
     assert counts[0] == counts[1]
+
+
+def test_one_verdict_reads_each_works_relicensing_terms_once(
+    tmp_path, setting_paths, monkeypatch, capsys
+):
+    # `determine_licenses` settles every work once; the request stage and
+    # the analysis read its record instead of settling the work again.
+    generated = tmp_path / "generated.mgw"
+    generated.write_text(serialize_graph(random_graph(3, max_works=24)), encoding="utf-8")
+    calls = []
+    original = reasoner.relicense_terms
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (reasoner, analyzer):
+        if getattr(module, "relicense_terms", None) is original:
+            monkeypatch.setattr(module, "relicense_terms", counting)
+    for path in [*sorted(setting_paths.values()), generated]:
+        works = parse_workflow(path.read_text(encoding="utf-8")).works
+        calls.clear()
+        main(["analyze", str(path), "--output", "structured"])
+        assert capsys.readouterr().out, path.name
+        assert len(calls) == len(works), path.name
+
+
+def _misspelt(license_id: str) -> str:
+    return license_id.replace("0", "O") if "0" in license_id else license_id.lower()
+
+
+def test_every_misspelt_license_id_of_a_fixture_is_refused(
+    tmp_path, setting_paths, seed_kb, capsys
+):
+    # The reasoner skips ids it does not know, so a library caller would
+    # be told a target is clean; `run_all` refuses them as the CLI does.
+    cases: Counter = Counter()
+    for path in sorted(setting_paths.values()):
+        text = path.read_text(encoding="utf-8")
+        graph = parse_workflow(text)
+        spots = [(wid, "works") for wid, w in graph.works.items() if w.license]
+        spots += [
+            (aid, "actions")
+            for aid, a in graph.actions.items()
+            if a.license_to_register
+        ]
+        for item_id, kind in spots:
+            graph = parse_workflow(text)
+            item = getattr(graph, kind)[item_id]
+            if kind == "works":
+                item.license = typo = _misspelt(item.license)
+                message = f"work '{item_id}' declares unknown license '{typo}'"
+            else:
+                item.license_to_register = typo = _misspelt(item.license_to_register)
+                message = f"action '{item_id}' registers unknown license '{typo}'"
+            assert typo not in seed_kb.licenses
+            with pytest.raises(licflow.UnknownLicense) as raised:
+                licflow.run_all(graph, seed_kb)
+            assert str(raised.value) == message, (path.name, item_id)
+            misspelt = tmp_path / path.name
+            misspelt.write_text(serialize_graph(graph), encoding="utf-8")
+            assert main(["analyze", str(misspelt)]) == EXIT_USAGE
+            assert capsys.readouterr() == ("", f"licflow: error: {message}\n")
+            cases[kind] += 1
+    # Each fixture that parses is covered, so both kinds of id are reached.
+    assert cases == {"works": 11, "actions": 1}, cases
 
 
 def test_the_parsed_graph_is_freed_before_analysis(setting_paths, monkeypatch, capsys):

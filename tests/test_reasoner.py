@@ -41,10 +41,8 @@ from licflow.reasoner import (
     derive_requests,
     derive_rulings,
     determine_licenses,
-    members_of,
     relicense_terms,
     rulings_by_work,
-    settle_license,
 )
 
 from _helpers import (
@@ -468,21 +466,28 @@ def test_pinned_license_accepts_a_compatible_companion():
     assert conflicts == []
 
 
-def _settled(kb, *rule_ids):
-    """The license and conflict of an undeclared work with hand-placed rulings."""
-    return settle_license(work("W"), None, placed_rulings("W", "X", rule_ids), kb)
+def _settled(kb, *rule_ids, held=None):
+    """The licensing recorded for a work with hand-placed rulings.
+
+    The work is undeclared, holding the derived license `held` if given.
+    """
+    graph = graph_of([work("W", license=held, origin=Origin.DERIVED)])
+    graph.rulings = placed_rulings("W", "X", rule_ids)
+    determine_licenses(graph, kb)
+    return graph.licensing["W"]
 
 
 def test_a_single_compatible_ruling_keeps_its_license(seed_kb):
     kb = relicensing_kb(seed_kb.licenses.values())
-    assert _settled(kb, "MIT:compatible") == ("MIT", None)
+    assert _settled(kb, "MIT:compatible")[:2] == ("MIT", None)
 
 
 def test_compatible_rulings_with_no_common_license_conflict(seed_kb):
     kb = relicensing_kb(seed_kb.licenses.values())
-    license_id, conflict = _settled(kb, "GPL-3.0:compatible", "CC-BY-NC-4.0:compatible")
-    assert license_id == "GPL-3.0"
-    assert conflict == DeferredConflict("W", ("CC-BY-NC-4.0", "GPL-3.0"))
+    record = _settled(kb, "GPL-3.0:compatible", "CC-BY-NC-4.0:compatible")
+    assert record.license == "GPL-3.0"
+    assert record.conflict == DeferredConflict("W", ("CC-BY-NC-4.0", "GPL-3.0"))
+    assert record.admitted == set()
 
 
 def test_an_admitted_license_outside_the_pinned_ones_can_win():
@@ -491,9 +496,10 @@ def test_an_admitted_license_outside_the_pinned_ones_can_win():
         profile("Beta", compatible_with={"Beta", "Gamma"}),
         profile("Gamma"),
     ])
-    assert _settled(kb, "Alpha:compatible", "Beta:compatible") == ("Gamma", None)
-    rulings = placed_rulings("W", "X", ["Alpha:compatible", "Beta:compatible"])
-    assert members_of(work("W"), "Gamma", rulings, kb) == {"Alpha", "Beta", "Gamma"}
+    record = _settled(kb, "Alpha:compatible", "Beta:compatible")
+    assert record[:2] == ("Gamma", None)
+    assert record.members == {"Alpha", "Beta", "Gamma"}
+    assert record.admitted == {"Gamma"}
 
 
 def test_a_rule_of_a_license_missing_from_the_kb_raises():
@@ -507,8 +513,9 @@ def test_a_rule_of_a_license_missing_from_the_kb_raises():
     # A conflict looks up each implicated license to prefer copyleft.
     with pytest.raises(UnknownLicense):
         _settled(kb, "Ghost:none", "MIT:none")
+    # A work already holding a derived license still reads its terms.
     with pytest.raises(UnknownLicense):
-        members_of(work("W"), None, placed_rulings("W", "X", ["Ghost:compatible"]), kb)
+        _settled(kb, "Ghost:compatible", held="MIT")
 
 
 def test_registered_license_wins_over_the_default(seed_kb):
@@ -566,8 +573,7 @@ def test_license_determination_needs_no_action_order(monkeypatch):
 
 
 def _members(graph, kb, work_id):
-    work = graph.works[work_id]
-    return members_of(work, work.license, rulings_by_work(graph).get(work_id, []), kb)
+    return graph.licensing[work_id].members
 
 
 def test_work_members_combine_assignment_and_claimants():
