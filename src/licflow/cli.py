@@ -10,6 +10,7 @@ loaded knowledge base.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -254,6 +255,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else ExitClass.CLEAN.value
+    # Reference counting frees every record of a verdict, which builds no
+    # cycles, so the cyclic collector would only rescan the growing heap.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.run(args)
         # Written output is buffered; a closed reader must fail here, not at exit.
@@ -262,6 +267,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # Interpreter exit flushes stdout again, so point it where writes succeed.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _fail(f"cannot write output: {err}")
+    finally:
+        if collecting:
+            gc.enable()
     return code
 
 

@@ -353,7 +353,10 @@ class _Parser:
         if kind == "STRING":
             return _unescape(value, self.text, offset)
         if kind == "INTEGER":
-            return int(value)
+            try:
+                return int(value)
+            except ValueError:  # more digits than the interpreter converts
+                raise self.error("integer literal too long", offset) from None
         if kind == "NAME":
             if value == "true":
                 return True

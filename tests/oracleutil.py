@@ -407,14 +407,6 @@ def bruteforce_compatible(
     return min(inter)
 
 
-def _registered(graph: WorkflowGraph) -> dict[str, str]:
-    out = {}
-    for act in graph.actions.values():
-        if act.kind is ActionKind.REGISTER_LICENSE:
-            out[act.output] = act.license_to_register
-    return out
-
-
 def naive_license_of(
     graph: WorkflowGraph,
     kb: KnowledgeBase,
@@ -425,9 +417,15 @@ def naive_license_of(
     w = graph.works[work_id]
     if w.license is not None and w.origin is Origin.USER_DECLARED:
         return w.license
-    registered = _registered(graph)
-    if work_id in registered:
-        return registered[work_id]
+    # A plain scan for the work's own register actions: the oracle reads
+    # no engine index such as `graph.producers`.
+    registered = [
+        act.license_to_register
+        for act in graph.actions.values()
+        if act.output == work_id and act.kind is ActionKind.REGISTER_LICENSE
+    ]
+    if registered:
+        return registered[-1]
     mine = sorted(r for (wk, _, r) in rulings if wk == work_id)
     if not mine:
         return DEFAULT

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import io
 import json
 import os
 import re
@@ -10,6 +12,7 @@ import sys
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -29,7 +32,7 @@ from licflow import (
 from licflow import analyzer, cli, model, reasoner
 from licflow.cli import DISCLAIMER, EXIT_USAGE, KB_ENV_VAR, main
 
-from _helpers import action, graph_of, publish, work
+from _helpers import action, diamond_ladder, graph_of, publish, work
 from graphgen import random_graph
 
 CLEAN_WORKFLOW = """\
@@ -424,6 +427,106 @@ def test_the_parsed_graph_is_freed_before_analysis(setting_paths, monkeypatch, c
     assert alive and not any(alive)
 
 
+@contextmanager
+def _collector(enabled: bool):
+    """The cyclic collector switched on or off, then put back as found."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _usage_failures(tmp_path: Path, setting_paths) -> list[list[str]]:
+    """An unknown target, a misspelt license id and a missing file."""
+    misspelt = tmp_path / "misspelt.mgw"
+    text = setting_paths["i"].read_text(encoding="utf-8")
+    misspelt.write_text(text.replace('"AGPL-3.0"', '"AGPL-3.O"'), encoding="utf-8")
+    return [
+        ["analyze", str(setting_paths["i"]), "--target", "nosuch"],
+        ["analyze", str(misspelt)],
+        ["analyze", str(tmp_path / "absent.mgw")],
+    ]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_verdict_runs_with_the_collector_paused_and_main_restores_it(
+    collecting, tmp_path, setting_paths, monkeypatch, capsys
+):
+    # A verdict builds no reference cycles, so `main` pauses the cyclic
+    # collector while the subcommand runs, and puts back the state it found.
+    clean = tmp_path / "clean.mgw"
+    clean.write_text(CLEAN_WORKFLOW, encoding="utf-8")
+    seen, fail = [], cli._fail
+
+    def reasoning(*args):
+        seen.append(gc.isenabled())
+        return reasoner.run_all(*args)
+
+    def failing(message):
+        seen.append(gc.isenabled())
+        return fail(message)
+
+    monkeypatch.setattr(cli, "run_all", reasoning)
+    monkeypatch.setattr(cli, "_fail", failing)
+    calls = [
+        (["analyze", str(clean)], ExitClass.CLEAN.value),
+        (["analyze", str(setting_paths["ii"])], ExitClass.WARNINGS.value),
+        (["analyze", str(setting_paths["iv"])], ExitClass.ERRORS.value),
+    ] + [(args, EXIT_USAGE) for args in _usage_failures(tmp_path, setting_paths)]
+    with _collector(collecting):
+        for args, expected in calls:
+            seen.clear()
+            assert main(args) == expected, args
+            assert seen == [False], args
+            assert gc.isenabled() is collecting, args
+    assert capsys.readouterr().err.count("licflow: error:") == 3
+
+
+def test_a_subcommand_that_raises_still_restores_the_collector(
+    setting_paths, monkeypatch
+):
+    def raising(*args):
+        assert not gc.isenabled()
+        raise RuntimeError("reasoner failed")
+
+    monkeypatch.setattr(cli, "run_all", raising)
+    with _collector(True):
+        with pytest.raises(RuntimeError, match="reasoner failed"):
+            main(["analyze", str(setting_paths["i"])])
+        assert gc.isenabled()
+
+
+def test_no_verdict_leaves_cyclic_garbage(tmp_path, fixtures_dir, setting_paths):
+    # With the collector paused, reference counting alone frees a verdict;
+    # a cycle built by any subcommand would stay behind as garbage.
+    generated = []
+    for seed in range(20):
+        path = tmp_path / f"generated-{seed}.mgw"
+        graph = random_graph(seed, max_works=12, exclusive=seed % 2 == 1)
+        path.write_text(serialize_graph(graph), encoding="utf-8")
+        generated.append(str(path))
+    ladder = tmp_path / "ladder.mgw"
+    ladder.write_text(serialize_graph(diamond_ladder(6)), encoding="utf-8")
+    calls = [
+        ["analyze", str(path), "--output", mode, "--fuzz", fuzz]
+        for path in sorted(fixtures_dir.glob("*.mgw"))
+        for mode in ("human", "structured", "dot")
+        for fuzz in ("on", "off")
+    ]
+    calls += [["analyze", path, "--output", "structured"] for path in generated]
+    calls += [["analyze", str(ladder)], ["validate", str(setting_paths["iv"])]]
+    calls += [["licenses"], ["explain", "E6"], ["explain", "E99"]]
+    calls += _usage_failures(tmp_path, setting_paths)
+    with _collector(False):
+        gc.collect()
+        for args in calls:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                main(args)
+        assert gc.collect() == 0
+
+
 def test_analyze_rejects_a_missing_file(tmp_path, capsys):
     code = main(["analyze", str(tmp_path / "absent.mgw")])
     assert code == EXIT_USAGE
@@ -628,6 +731,27 @@ def test_validate_rejects_a_malformed_file(tmp_path, capsys):
     path = tmp_path / "broken.mgw"
     path.write_text("@prefix mg: <urn:licflow:v1#> .\nmg:W a mg:Work", "utf-8")
     assert main(["validate", str(path)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_an_integer_too_long_to_convert_is_a_syntax_error(command, tmp_path, capsys):
+    # Python refuses to convert strings of more digits than its limit,
+    # which `PYTHONINTMAXSTRDIGITS` sets; the default is taken here.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        path = tmp_path / "long.mgw"
+        literal = "9" * 4301
+        path.write_text(
+            f"@prefix mg: <urn:licflow:v1#> .\nmg:A a mg:Work ; mg:name {literal} .\n",
+            encoding="utf-8",
+        )
+        assert main([command, str(path)]) == EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert capsys.readouterr() == (
+        "", "licflow: error: line 2, column 26: integer literal too long\n"
+    )
 
 
 # ---------------------------------------------------------------------------

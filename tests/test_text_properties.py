@@ -17,7 +17,7 @@ from bisect import bisect_right
 from string import ascii_letters, digits
 from contextlib import redirect_stdout
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from licflow import (
@@ -100,6 +100,8 @@ _arbitrary_text = st.text() | st.text().map(lambda text: PREFIX + "\n" + text)
 
 @BOUNDED
 @given(_arbitrary_text)
+# More digits than the interpreter's default limit for converting a string to int.
+@example(PREFIX + "\nmg:A a mg:Work ; mg:name " + "9" * 4301 + " .\n")
 def test_arbitrary_text_fails_only_with_interchange_errors(text):
     try:
         parse_workflow(text)
