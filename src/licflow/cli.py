@@ -15,19 +15,20 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .analyzer import (
     AnalysisIndex,
     ExitClass,
+    NotPublished,
     analyze_publication,
     exit_class_of,
     published_targets,
 )
 from .interchange import InterchangeError, export_dot, parse_workflow
 from .kb import KBError, KnowledgeBase, bundled_rules_dir, load_kb
-from .model import GraphError, validate_graph
-from .reasoner import run_all, unknown_licenses
+from .model import GraphError, WorkflowGraph, validate_graph
+from .reasoner import refuse_unknown_licenses, run_all
 from .reports import Report, Severity, parse_code, render, sort_reports
 
 # Usage and input failures; results exit with their `ExitClass` value.
@@ -43,15 +44,21 @@ DISCLAIMER = (
 
 def _load_kb(args: argparse.Namespace) -> KnowledgeBase:
     paths = args.kb or [os.environ.get(KB_ENV_VAR) or bundled_rules_dir()]
-    return load_kb([Path(p) for p in paths])
+    try:
+        return load_kb([Path(p) for p in paths])
+    except OSError as err:
+        raise KBError(str(err)) from err
 
 
-def _read_file(path: str) -> str:
+def _read_workflow(path: str) -> WorkflowGraph:
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            return handle.read()
+            text = handle.read()
     except UnicodeDecodeError as err:
         raise InterchangeError(f"cannot read {path}: {err}") from err
+    except OSError as err:
+        raise InterchangeError(str(err)) from err
+    return parse_workflow(text)
 
 
 def _fail(message: str) -> int:
@@ -83,94 +90,71 @@ def _print_lines(reports: list[Report], line: Callable[[Report], str]) -> None:
         print("\n".join(lines))
 
 
-def _print_reports_human(reports: list[Report], heading: Optional[str]) -> None:
-    if heading is not None:
+def _print_sections(
+    sections: Iterable[tuple[str, list[Report], ExitClass]], output: str, empty: str = ""
+) -> int:
+    """Each (heading, reports, exit class) in human or structured form; the worst code."""
+    if output == "human":
+        print(DISCLAIMER)
+        if empty:
+            print(empty)
+    worst = ExitClass.CLEAN
+    for heading, reports, exit_class in sections:
+        worst = max(worst, exit_class, key=lambda c: c.value)
+        if output == "structured":
+            _print_lines(reports, _structured_line)
+            continue
         print(heading)
-    if not reports:
-        print("  no findings")
-        return
-    _print_lines(reports, _human_line)
-    severities = [report.code.severity for report in reports]
-    order = (Severity.ERROR, Severity.WARNING, Severity.NOTICE)
-    counts = [severities.count(severity) for severity in order]
-    print("  total: {} errors, {} warnings, {} notices".format(*counts))
+        if not reports:
+            print("  no findings")
+            continue
+        _print_lines(reports, _human_line)
+        severities = [report.code.severity for report in reports]
+        order = (Severity.ERROR, Severity.WARNING, Severity.NOTICE)
+        counts = [severities.count(severity) for severity in order]
+        print("  total: {} errors, {} warnings, {} notices".format(*counts))
+    return worst.value
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        kb = _load_kb(args)
-    except (KBError, OSError) as err:
-        return _fail(str(err))
-    try:
-        graph = parse_workflow(_read_file(args.workflow))
-    except (InterchangeError, GraphError, OSError) as err:
-        return _fail(str(err))
+    kb = _load_kb(args)
+    graph = _read_workflow(args.workflow)
     # `run_all` refuses unknown ids too; they are reported first here.
-    unknown = unknown_licenses(graph, kb)
-    if unknown:
-        return _fail("; ".join(unknown))
+    refuse_unknown_licenses(graph, kb)
     targets = published_targets(graph)
     if args.target is not None:
         if args.target not in targets:
-            return _fail(f"work '{args.target}' is not the output of a publish action")
+            raise NotPublished(f"work '{args.target}' is not the output of a publish action")
         targets = [args.target]
 
     structural = validate_graph(graph)
     if structural:
-        if args.output == "structured":
-            _print_lines(structural, _structured_line)
-        elif args.output == "dot":
-            print(export_dot(graph, structural), end="")
-        else:
-            print(DISCLAIMER)
-            _print_reports_human(structural, "workflow validation failed")
-        return ExitClass.ERRORS.value
-
-    # The parsed graph is not needed once reasoned; rebinding frees it.
-    graph, _stats = run_all(graph, kb, args.fuzz == "on")
-    # Each target is analysed as its output is written, so the reports of
-    # every target are never held at once.
-    index = AnalysisIndex(graph, kb)
-    results = (analyze_publication(graph, kb, t, index) for t in targets)
+        sections = [("workflow validation failed", structural, ExitClass.ERRORS)]
+    else:
+        # The parsed graph is not needed once reasoned; rebinding frees it.
+        graph, _stats = run_all(graph, kb, args.fuzz == "on")
+        # Each target is analysed as its output is written, so the reports of
+        # every target are never held at once.
+        index = AnalysisIndex(graph, kb)
+        results = (analyze_publication(graph, kb, t, index) for t in targets)
+        sections = ((f"published work {r.target}", r.reports, r.exit_class) for r in results)
 
     if args.output == "dot":
-        reports = sort_reports([r for result in results for r in result.reports])
+        reports = sort_reports([r for _, found, _ in sections for r in found])
         print(export_dot(graph, reports), end="")
         return exit_class_of(reports).value
-
-    if args.output == "human":
-        print(DISCLAIMER)
-        if not targets:
-            print("no published works to analyze")
-    worst = ExitClass.CLEAN
-    for result in results:
-        worst = max(worst, result.exit_class, key=lambda c: c.value)
-        if args.output == "structured":
-            _print_lines(result.reports, _structured_line)
-        else:
-            _print_reports_human(result.reports, f"published work {result.target}")
-    return worst.value
+    empty = "" if structural or targets else "no published works to analyze"
+    return _print_sections(sections, args.output, empty)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        graph = parse_workflow(_read_file(args.workflow))
-    except (InterchangeError, GraphError, OSError) as err:
-        return _fail(str(err))
-    reports = validate_graph(graph)
-    if args.output == "structured":
-        _print_lines(reports, _structured_line)
-    else:
-        print(DISCLAIMER)
-        _print_reports_human(reports, f"validation of {args.workflow}")
-    return (ExitClass.ERRORS if reports else ExitClass.CLEAN).value
+    reports = validate_graph(_read_workflow(args.workflow))
+    heading = f"validation of {args.workflow}"
+    return _print_sections([(heading, reports, exit_class_of(reports))], args.output)
 
 
 def cmd_licenses(args: argparse.Namespace) -> int:
-    try:
-        kb = _load_kb(args)
-    except (KBError, OSError) as err:
-        return _fail(str(err))
+    kb = _load_kb(args)
     print(DISCLAIMER)
     for license_id in sorted(kb.licenses):
         profile = kb.licenses[license_id]
@@ -263,8 +247,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = args.run(args)
         # Written output is buffered; a closed reader must fail here, not at exit.
         sys.stdout.flush()
-    except BrokenPipeError as err:
-        # Interpreter exit flushes stdout again, so point it where writes succeed.
+    except (KBError, InterchangeError, GraphError, NotPublished) as err:
+        return _fail(str(err))
+    except OSError as err:
+        # Reads fail as licflow errors, so this is a closed pipe or a full
+        # disk. Interpreter exit flushes stdout again, so point it where
+        # writes succeed.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _fail(f"cannot write output: {err}")
     finally:

@@ -446,8 +446,8 @@ def derive_requests(graph: WorkflowGraph, kb: KnowledgeBase) -> WorkflowGraph:
     return graph
 
 
-def unknown_licenses(graph: WorkflowGraph, kb: KnowledgeBase) -> list[str]:
-    """Each declared or registered license id the knowledge base does not know."""
+def refuse_unknown_licenses(graph: WorkflowGraph, kb: KnowledgeBase) -> None:
+    """Raise `UnknownLicense` naming each declared or registered id `kb` lacks."""
     unknown = [
         f"work '{wid}' declares unknown license '{work.license}'"
         for wid, work in sorted(graph.works.items())
@@ -459,7 +459,8 @@ def unknown_licenses(graph: WorkflowGraph, kb: KnowledgeBase) -> list[str]:
         if action.license_to_register is not None
         and action.license_to_register not in kb.licenses
     ]
-    return unknown
+    if unknown:
+        raise UnknownLicense("; ".join(unknown))
 
 
 def run_all(
@@ -467,9 +468,7 @@ def run_all(
 ) -> tuple[WorkflowGraph, FixpointStats]:
     """Run every derivation stage on a copy of the graph; unknown license ids raise."""
     # The stages skip unknown ids, which would drop every finding they bear.
-    unknown = unknown_licenses(graph, kb)
-    if unknown:
-        raise UnknownLicense("; ".join(unknown))
+    refuse_unknown_licenses(graph, kb)
     # Derived records and licenses are dropped; the graph maps are rebuilt.
     works = {
         wid: Work(wid, w.name, w.work_type, w.form, base_license(w, wid in graph.producers))

@@ -245,19 +245,35 @@ def test_a_closed_stdout_is_one_usage_error_without_a_traceback(setting_paths):
     # Buffered stdout, as a shell pipe gives it, holds the output until exit.
     for name in (KB_ENV_VAR, "PYTHONUNBUFFERED"):
         env.pop(name, None)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "licflow.cli", "analyze", str(setting_paths["i"]),
-         "--output", "structured"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    # The reader goes away before the first write.
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == EXIT_USAGE
-    assert "Traceback" not in err
-    assert err.startswith("licflow: error: ")
-    assert err.count("\n") == 1
+
+    def run(args: list[str], stdout) -> tuple[int, str]:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "licflow.cli", *args],
+            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        )
+        if proc.stdout is not None:
+            # The reader goes away before the first write.
+            proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=60), err
+
+    for args in (
+        ["analyze", str(setting_paths["i"]), "--output", "structured"],
+        ["validate", str(setting_paths["i"])],
+        ["licenses"],
+        ["explain", "E6"],
+    ):
+        runs = [run(args, subprocess.PIPE)]
+        # A full disk fails every write as well.
+        if os.path.exists("/dev/full"):
+            with open("/dev/full", "w") as full:
+                runs.append(run(args, full))
+        for code, err in runs:
+            assert code == EXIT_USAGE, (args, err)
+            assert "Traceback" not in err, args
+            assert err.startswith("licflow: error: cannot write output: "), args
+            assert err.count("\n") == 1, args
 
 
 def test_dot_output_renders_the_reasoned_graph(setting_paths, capsys):
@@ -438,16 +454,41 @@ def _collector(enabled: bool):
         (gc.enable if was else gc.disable)()
 
 
-def _usage_failures(tmp_path: Path, setting_paths) -> list[list[str]]:
-    """An unknown target, a misspelt license id and a missing file."""
+def _usage_failures(tmp_path: Path, setting_paths) -> list[tuple[list[str], str]]:
+    """Each kind of exit-3 failure of `analyze`, with the one line it prints."""
+    workflow = str(setting_paths["i"])
     misspelt = tmp_path / "misspelt.mgw"
     text = setting_paths["i"].read_text(encoding="utf-8")
     misspelt.write_text(text.replace('"AGPL-3.0"', '"AGPL-3.O"'), encoding="utf-8")
+    latin1 = tmp_path / "latin1.mgw"
+    latin1.write_bytes(CLEAN_WORKFLOW.replace("Clean", "Cl\xe9an").encode("latin-1"))
+    broken = tmp_path / "broken.mgw"
+    broken.write_text("@prefix mg: <urn:licflow:v1#> .\nmg:W a mg:Work", encoding="utf-8")
+    rules = tmp_path / "malformed.mgl"
+    rules.write_text("[profile]\nid = Custom-1\n", encoding="utf-8")
+    absent, no_kb = tmp_path / "absent.mgw", tmp_path / "absent-kb"
     return [
-        ["analyze", str(setting_paths["i"]), "--target", "nosuch"],
-        ["analyze", str(misspelt)],
-        ["analyze", str(tmp_path / "absent.mgw")],
+        (["analyze", workflow, "--target", "nosuch"],
+         "work 'nosuch' is not the output of a publish action"),
+        (["analyze", str(misspelt)], "work 'A' declares unknown license 'AGPL-3.O'"),
+        (["analyze", str(absent)], f"[Errno 2] No such file or directory: '{absent}'"),
+        (["analyze", str(tmp_path)], f"[Errno 21] Is a directory: '{tmp_path}'"),
+        (["analyze", str(latin1)],
+         f"cannot read {latin1}: 'utf-8' codec can't decode byte 0xe9 in position 64: "
+         "invalid continuation byte"),
+        (["analyze", str(broken)], "line 2, column 15: expected punctuation, found ''"),
+        (["analyze", str(setting_paths["i"].parent / "cyclic.mgw")],
+         "action 'merge': output 'O' already feeds input 'C'"),
+        (["analyze", workflow, "--kb", str(no_kb)],
+         f"no such rules file or directory: {no_kb}"),
+        (["analyze", workflow, "--kb", str(rules)], f"{rules} [profile]: missing key 'name'"),
     ]
+
+
+def test_each_usage_failure_prints_its_one_line(tmp_path, setting_paths, capsys):
+    for args, message in _usage_failures(tmp_path, setting_paths):
+        assert main(args) == EXIT_USAGE, args
+        assert capsys.readouterr() == ("", f"licflow: error: {message}\n"), args
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -474,28 +515,35 @@ def test_a_verdict_runs_with_the_collector_paused_and_main_restores_it(
         (["analyze", str(clean)], ExitClass.CLEAN.value),
         (["analyze", str(setting_paths["ii"])], ExitClass.WARNINGS.value),
         (["analyze", str(setting_paths["iv"])], ExitClass.ERRORS.value),
-    ] + [(args, EXIT_USAGE) for args in _usage_failures(tmp_path, setting_paths)]
+    ]
+    failures = _usage_failures(tmp_path, setting_paths)
+    calls += [(args, EXIT_USAGE) for args, _ in failures]
     with _collector(collecting):
         for args, expected in calls:
             seen.clear()
             assert main(args) == expected, args
             assert seen == [False], args
             assert gc.isenabled() is collecting, args
-    assert capsys.readouterr().err.count("licflow: error:") == 3
+    assert capsys.readouterr().err.count("licflow: error:") == len(failures)
 
 
 def test_a_subcommand_that_raises_still_restores_the_collector(
-    setting_paths, monkeypatch
+    setting_paths, monkeypatch, capsys
 ):
-    def raising(*args):
-        assert not gc.isenabled()
-        raise RuntimeError("reasoner failed")
+    # Only licflow's own errors are usage failures; any other exception,
+    # a bare ValueError too, is a fault that must surface, not exit 3.
+    for error in (RuntimeError, ValueError, KeyError):
 
-    monkeypatch.setattr(cli, "run_all", raising)
-    with _collector(True):
-        with pytest.raises(RuntimeError, match="reasoner failed"):
-            main(["analyze", str(setting_paths["i"])])
-        assert gc.isenabled()
+        def raising(*args, error=error):
+            assert not gc.isenabled()
+            raise error("reasoner failed")
+
+        monkeypatch.setattr(cli, "run_all", raising)
+        with _collector(True):
+            with pytest.raises(error, match="reasoner failed"):
+                main(["analyze", str(setting_paths["i"])])
+            assert gc.isenabled()
+        assert capsys.readouterr() == ("", ""), error
 
 
 def test_no_verdict_leaves_cyclic_garbage(tmp_path, fixtures_dir, setting_paths):
@@ -518,7 +566,7 @@ def test_no_verdict_leaves_cyclic_garbage(tmp_path, fixtures_dir, setting_paths)
     calls += [["analyze", path, "--output", "structured"] for path in generated]
     calls += [["analyze", str(ladder)], ["validate", str(setting_paths["iv"])]]
     calls += [["licenses"], ["explain", "E6"], ["explain", "E99"]]
-    calls += _usage_failures(tmp_path, setting_paths)
+    calls += [args for args, _ in _usage_failures(tmp_path, setting_paths)]
     with _collector(False):
         gc.collect()
         for args in calls:
@@ -806,9 +854,13 @@ def test_analyze_honors_the_kb_env_var(tmp_path, monkeypatch, capsys):
 
 
 def test_a_bad_kb_path_is_a_usage_failure(tmp_path, capsys):
-    code = main(["licenses", "--kb", str(tmp_path / "absent")])
-    assert code == EXIT_USAGE
-    assert "licflow: error:" in capsys.readouterr().err
+    # A name longer than the file system allows may fail the lookup itself;
+    # that is a read failure, not a failure to write the output.
+    for path in (tmp_path / "absent", tmp_path / ("k" * 300)):
+        code = main(["licenses", "--kb", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("licflow: error:") and "cannot write output" not in err
 
 
 # ---------------------------------------------------------------------------
