@@ -216,9 +216,8 @@ def _relied_sources(
     return results
 
 
-# A work's none-allowed and compatible-only licenses; its pinned and admitted ones.
+# A work's none-allowed and compatible-only licenses.
 _Held = tuple[set[str], set[str]]
-_Terms = tuple[set[str], Optional[set[str]]]
 
 
 def _pin(held: _Held, rulings: Iterable[RulingRecord], kb: KnowledgeBase) -> bool:
@@ -236,64 +235,45 @@ def _pin(held: _Held, rulings: Iterable[RulingRecord], kb: KnowledgeBase) -> boo
     return len(none_allowed) + len(compat_only) > size
 
 
-def _terms(held: _Held, kb: KnowledgeBase) -> _Terms:
-    """The pinned and admitted licenses of a work's held sets."""
+def _licensing(
+    work: Work, producer: Optional[ActionNode], held: _Held, kb: KnowledgeBase
+) -> Licensing:
+    """The licensing of a work holding these none-allowed and compatible-only licenses.
+
+    Each held license pins the work. A none-allowed one admits itself
+    alone, a compatible-only one every license compatible with it, and
+    the work admits what all of them admit (None if nothing is held).
+    A declared license stands and speaks alone, then a registered one.
+    Otherwise the smallest admitted license wins, a pinned one before
+    any other. With nothing admitted the first pinned copyleft license,
+    or else the first pinned license, stands in and the work is in
+    conflict. A derived work answers to every license it is pinned to,
+    as any of them could claim it.
+    """
     none_allowed, compat_only = held
     pinned = none_allowed | compat_only
-    if not pinned:
-        return pinned, None
-    terms = [{license_id} for license_id in none_allowed]
-    terms += (kb.profile(license_id).compatible_with for license_id in sorted(compat_only))
-    return pinned, set.intersection(*terms)
-
-
-def relicense_terms(
-    rulings: Iterable[RulingRecord], kb: KnowledgeBase
-) -> tuple[set[str], Optional[set[str]]]:
-    """Licenses a work's rulings pin it to, and the licenses they admit for it.
-
-    A rule that allows no relicensing pins the work to its license and
-    admits that license alone; one that allows compatible licenses only
-    pins its license and admits every license compatible with it. The
-    admitted set is what all of them admit, None when no rule constrains
-    the work.
-    """
-    held: _Held = (set(), set())
-    _pin(held, rulings, kb)
-    return _terms(held, kb)
-
-
-def _settle(
-    work: Work, producer: Optional[ActionNode], terms: _Terms, kb: KnowledgeBase
-) -> tuple[str, Optional[DeferredConflict]]:
-    """The license a work ends up under, and its conflict if it has one.
-
-    A declared license stands, then a registered one. Otherwise the
-    smallest admitted license wins, a pinned one before any other. With
-    nothing admitted the first pinned copyleft license, or else the first
-    pinned license, stands in and the work is in conflict.
-    """
-    pinned, admitted = terms
-    declared = _declared_license(work)
-    if declared is not None:
-        return declared, None
+    admitted = None
+    if pinned:
+        terms = [{license_id} for license_id in none_allowed]
+        terms += (kb.profile(license_id).compatible_with for license_id in sorted(compat_only))
+        admitted = frozenset(set.intersection(*terms))
+    license_id = _declared_license(work)
+    if license_id is not None:
+        return _new(Licensing, (license_id, None, frozenset({license_id}), admitted))
+    conflict = None
     # Only a register_license action carries a license to register.
     if producer is not None and producer.license_to_register is not None:
-        return producer.license_to_register, None
-    if admitted is None:
-        return DEFAULT_LICENSE, None
-    if admitted:
-        return min(admitted & pinned or admitted), None
-    implicated = sorted(pinned)
-    copyleft = [license_id for license_id in implicated if kb.profile(license_id).copyleft]
-    return (copyleft or implicated)[0], DeferredConflict(work.id, tuple(implicated))
-
-
-def rulings_by_work(graph: WorkflowGraph) -> dict[str, list[RulingRecord]]:
-    by_work: dict[str, list[RulingRecord]] = {}
-    for record in graph.rulings:
-        by_work.setdefault(record.work, []).append(record)
-    return by_work
+        license_id = producer.license_to_register
+    elif admitted is None:
+        license_id = DEFAULT_LICENSE
+    elif admitted:
+        license_id = min(admitted & pinned or admitted)
+    else:
+        implicated = sorted(pinned)
+        copyleft = [lid for lid in implicated if kb.profile(lid).copyleft]
+        license_id = (copyleft or implicated)[0]
+        conflict = DeferredConflict(work.id, tuple(implicated))
+    return _new(Licensing, (license_id, conflict, frozenset({license_id, *pinned}), admitted))
 
 
 def _pin_round(
@@ -302,9 +282,11 @@ def _pin_round(
     """Add new rulings to the sets held per work; the works whose sets grew."""
     by_work: dict[str, list[RulingRecord]] = {}
     for record in rulings:
-        if record.work in pins:
-            by_work.setdefault(record.work, []).append(record)
-    return [wid for wid, records in by_work.items() if _pin(pins[wid], records, kb)]
+        records = by_work.get(record.work)
+        if records is None:
+            records = by_work[record.work] = []
+        records.append(record)
+    return [w for w, records in by_work.items() if w in pins and _pin(pins[w], records, kb)]
 
 
 def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int:
@@ -346,10 +328,8 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
         iterations += 1
         fresh: list[RulingRecord] = []
         for source in sorted(changed):
-            work, terms = graph.works[source], _terms(pins[source], kb)
-            settled, _ = _settle(work, graph.producers.get(source), terms, kb)
-            # As in `determine_licenses`: a declared license speaks alone.
-            members = {settled} | (terms[0] if _declared_license(work) is None else set())
+            work = graph.works[source]
+            members = _licensing(work, graph.producers.get(source), pins[source], kb).members
             unmatched = members.intersection(kb.licenses) - matched[source]
             matched[source] |= unmatched
             groups, outputs = relied_by[source]
@@ -384,30 +364,25 @@ def determine_licenses(
 ) -> tuple[WorkflowGraph, list[DeferredConflict]]:
     """Write each work's license, keeping declared ones; conflicts in work-id order.
 
-    Each work's `Licensing` goes to `graph.licensing`, which later stages read.
+    Each work's `Licensing` goes to `graph.licensing`, which later stages
+    read. Licenses derived by an earlier run are derived again.
     """
-    by_work = rulings_by_work(graph)
-    conflicts: list[DeferredConflict] = []
+    pins = {wid: (set(), set()) for wid in graph.works}
+    _pin_round(pins, graph.rulings, kb)
     shared: dict[frozenset[str], frozenset[str]] = {}
     graph.licensing = {}
     for wid, work in sorted(graph.works.items()):
-        pinned, admitted = terms = relicense_terms(by_work.get(wid, ()), kb)
-        license_id, conflict = _settle(work, graph.producers.get(wid), terms, kb)
-        if conflict is not None:
-            conflicts.append(conflict)
-        if work.license is None:
-            work.license = license_id
-            work.origin = Origin.DERIVED
-        # A declared license speaks alone. A derived work also answers to
-        # every license its rulings pin it to, as any of them could claim it.
-        members = frozenset({work.license, *(pinned if _declared_license(work) is None else ())})
-        if admitted is not None:
-            admitted = frozenset(admitted)
-            admitted = shared.setdefault(admitted, admitted)
-        graph.licensing[wid] = Licensing(
-            license_id, conflict, shared.setdefault(members, members), admitted
+        license_id, conflict, members, admitted = _licensing(
+            work, graph.producers.get(wid), pins[wid], kb
         )
-    return graph, conflicts
+        if _declared_license(work) is None:
+            work.license, work.origin = license_id, Origin.DERIVED
+        if admitted is not None:
+            admitted = shared.setdefault(admitted, admitted)
+        members = shared.setdefault(members, members)
+        graph.licensing[wid] = _new(Licensing, (license_id, conflict, members, admitted))
+    records = graph.licensing.values()
+    return graph, [record.conflict for record in records if record.conflict is not None]
 
 
 def settled_licensing(graph: WorkflowGraph) -> dict[str, Licensing]:

@@ -155,7 +155,8 @@ def random_graph(seed: int, max_works: int = 6, exclusive: bool = False) -> Work
     With `exclusive`, every published work is declared under a license of
     `EXCLUSIVE_POOL`, and `_exclusive_releases` adds two such releases that
     share a work ruled by a copyleft license. Without it, a seed draws the
-    graph it always has.
+    graph it always has. An exclusive graph cannot be written as `.mgw`:
+    `parse_workflow` refuses a license declared on a published work.
     """
     rng = random.Random(seed)
     graph = WorkflowGraph()

@@ -6,6 +6,7 @@ import copy
 import inspect
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -41,8 +42,6 @@ from licflow.reasoner import (
     derive_requests,
     derive_rulings,
     determine_licenses,
-    relicense_terms,
-    rulings_by_work,
 )
 
 from _helpers import (
@@ -911,20 +910,23 @@ def test_the_fixpoint_matches_once_per_output_form(monkeypatch):
 
 def test_the_fixpoint_holds_the_terms_its_rulings_give(monkeypatch, seed_kb):
     # The fixpoint adds each round's new rulings to the license sets it
-    # holds per relied work. After every round, each relied work's terms
+    # holds per relied work. After every round, each relied work's sets
     # must equal those read afresh from all of its rulings so far, and the
-    # works it settles again must be exactly those whose terms moved.
+    # works it settles again must be exactly those whose sets grew.
     original = reasoner._pin_round
     rounds = []
+    slot = {RelicensePolicy.NONE_ALLOWED: 0, RelicensePolicy.COMPATIBLE_ONLY: 1}
 
     def checked(pins, rulings, kb):
-        before = {wid: reasoner._terms(held, kb) for wid, held in pins.items()}
+        before = {wid: (set(held[0]), set(held[1])) for wid, held in pins.items()}
         grown = original(pins, rulings, kb)
-        by_work = rulings_by_work(graph)
-        after = {wid: reasoner._terms(held, kb) for wid, held in pins.items()}
-        for wid in pins:
-            assert after[wid] == relicense_terms(by_work.get(wid, []), kb)
-        assert sorted(grown) == sorted(wid for wid in pins if after[wid] != before[wid])
+        expected = {wid: (set(), set()) for wid in pins}
+        for record in graph.rulings:
+            rule = kb.rules.get(record.rule)
+            if record.work in pins and rule is not None and rule.relicense in slot:
+                expected[record.work][slot[rule.relicense]].add(rule.license)
+        assert pins == expected
+        assert sorted(grown) == sorted(wid for wid in pins if pins[wid] != before[wid])
         rounds.append(len(grown))
         return grown
 
@@ -940,6 +942,32 @@ def test_the_fixpoint_holds_the_terms_its_rulings_give(monkeypatch, seed_kb):
             # Runs where a round's rulings pin a relied work further.
             regrown += sum(rounds[1:]) > 0
     assert regrown > 20
+
+
+def test_determining_licenses_again_derives_every_license_afresh(seed_kb):
+    # A library caller that edits the rulings of a reasoned graph runs
+    # `determine_licenses` again; no license derived from a ruling that
+    # is gone may survive it.
+    moved = 0
+    for seed in range(150):
+        graph = random_graph(seed, max_works=6 + seed % 20)
+        reasoned, _ = run_all(graph, seed_kb)
+        rng = random.Random(seed)
+        reasoned.rulings = [r for r in reasoned.rulings if rng.random() < 0.5]
+        fresh = copy.deepcopy(reasoned)
+        for w in fresh.works.values():
+            if w.origin is Origin.DERIVED:
+                w.license, w.origin = None, Origin.USER_DECLARED
+        derived = {wid: w.license for wid, w in reasoned.works.items()}
+        _, conflicts = determine_licenses(reasoned, seed_kb)
+        _, fresh_conflicts = determine_licenses(fresh, seed_kb)
+        assert reasoned.works == fresh.works, seed
+        assert reasoned.licensing == fresh.licensing, seed
+        assert conflicts == fresh_conflicts, seed
+        for wid, w in reasoned.works.items():
+            assert w.license == reasoned.licensing[wid].license, (seed, wid)
+        moved += derived != {wid: w.license for wid, w in reasoned.works.items()}
+    assert moved >= 10
 
 
 def test_diamond_ladders_reason_in_polynomial_time(seed_kb):
