@@ -162,6 +162,8 @@ class AnalysisIndex:
         self.full_parents = edge_parents(graph, _FULL_KINDS)
         self.ms_parents = edge_parents(graph, _MS_KINDS)
         self.licensing = settled_licensing(graph)
+        # The rulings are copied, as callers edit them in place; later stages replace theirs.
+        self.derived = (list(graph.rulings), self.licensing, graph.requests)
         # Requests by the output of the action that makes them.
         self.requests: dict[str, list[RequestRecord]] = {}
         for request in graph.requests:
@@ -357,8 +359,9 @@ def analyze_publication(
     """Run every compliance check against one published work.
 
     Pass the same `AnalysisIndex` of `graph` and `kb` to every target of
-    one verdict; without one, the call builds its own. An index built for
-    another graph or knowledge base raises ValueError.
+    one verdict; without one, the call builds its own. An index of another
+    graph or knowledge base raises ValueError, as does one built before the
+    rulings changed or the licenses or requests were derived to other values.
     """
     if index is None:
         index = AnalysisIndex(graph, kb)
@@ -366,6 +369,8 @@ def analyze_publication(
         raise ValueError("the analysis index was built for another graph")
     elif index.kb is not kb:
         raise ValueError("the analysis index was built for another knowledge base")
+    elif index.derived != (graph.rulings, graph.licensing, graph.requests):
+        raise ValueError("the graph's rulings, licenses or requests changed after its index")
     facts = _facts(index, published)
     findings = check_nonstandard_licensing(facts) + check_revocability(facts)
     findings += (f for work in facts.full.values() for f in work.rights)

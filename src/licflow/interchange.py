@@ -7,6 +7,10 @@ vocabulary is closed and versioned through the namespace URI, so
 documents written against other versions are rejected instead of being
 half-understood.
 
+Two readers exist so that common text is read fast and every fault is
+still reported one way: `_read_statements` reads a statement per regex
+match, and `_Parser`, the token parser, reads what it declines and alone raises.
+
 Parsing returns the base workflow only. Statements owned by the
 reasoner (dependency edges, rulings, requests, derived licenses) are
 dropped, which makes a reasoned document safe to feed back in: parsing
@@ -18,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import EnumMeta
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .kb import OutputDefinition, Usage
 from .model import (
@@ -208,7 +212,9 @@ _PREDICATES = _REASONER_PREDICATES.union(
 
 # A local name; documents are read and written with the same pattern. A
 # dot only joins two runs of name characters, so no name ends with one.
-_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_:-]*(?:\.[A-Za-z0-9_:-]+)*")
+# An optional part written `(?:X|)`, X led by a literal character, is
+# passed over at one look where that character is absent.
+_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_:-]*(?:\.[A-Za-z0-9_:-]+(?:\.[A-Za-z0-9_:-]+)*|)")
 
 # One match per token: skip blanks, line breaks and `#` comments, then
 # the first alternative that matches names the kind. The order matters:
@@ -273,8 +279,6 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.next = iter(_tokenize(text)).__next__
-        # Prefixed name -> local name under the prefixes so far; read before `_resolve`.
-        self.locals: dict[str, str] = {}
         self.idents: dict[str, Ident] = {}
 
     def error(self, message: str, offset: int) -> WorkflowSyntaxError:
@@ -302,7 +306,6 @@ class _Parser:
         if kind != "PUNCT" or found != ".":
             raise self.error(f"expected '.', found {found!r}", offset)
         doc.prefixes[name[:-1]] = iri
-        self.locals.clear()
 
     def _resolve(self, name: str, offset: int, doc: Document) -> str:
         if ":" not in name:
@@ -318,28 +321,26 @@ class _Parser:
             )
         if not local:
             raise self.error("empty local name", offset)
-        self.locals[name] = local
         return local
 
     def _triples(self, doc: Document, token: _Token) -> None:
-        append, next_token, locals_ = doc.statements.append, self.next, self.locals
         kind, value, offset = token
         if kind != "NAME":
             raise self.error(f"expected subject, found {value!r}", offset)
-        subject = locals_.get(value) or self._resolve(value, offset, doc)
+        subject = self._resolve(value, offset, doc)
         while True:
-            kind, value, offset = next_token()
+            kind, value, offset = self.next()
             if kind != "NAME":
                 raise self.error(f"expected predicate, found {value!r}", offset)
             if value == "a":
                 predicate = "a"
             else:
-                predicate = locals_.get(value) or self._resolve(value, offset, doc)
+                predicate = self._resolve(value, offset, doc)
                 if predicate not in _PREDICATES:
                     raise UnknownTerm(f"unknown predicate 'mg:{predicate}'")
             while True:
-                append((subject, predicate, self._object(doc, predicate)))
-                kind, value, offset = next_token()
+                doc.statements.append((subject, predicate, self._object(doc, predicate)))
+                kind, value, offset = self.next()
                 if kind != "PUNCT":
                     raise self.error(f"expected punctuation, found {value!r}", offset)
                 if value == ".":
@@ -362,19 +363,74 @@ class _Parser:
                 return True
             if value == "false":
                 return False
-            local = self.locals.get(value) or self._resolve(value, offset, doc)
+            local = self._resolve(value, offset, doc)
             if predicate == "a" and local not in _CLASSES:
                 raise UnknownTerm(f"unknown class 'mg:{local}'")
-            ident = self.idents.get(local)
-            if ident is None:
-                ident = self.idents[local] = Ident(local)
-            return ident
+            return self.idents.get(local) or self.idents.setdefault(local, Ident(local))
         raise self.error(f"expected object, found {value!r}", offset)
+
+
+# One statement for `_read_statements`: up to three names and a string, the
+# last of them its object, then its punctuation; a prefix declaration; or the
+# end. No name is read back once the next term fails, so no match backtracks
+# over one, and a name ends where its `_TOKEN_RE` token does.
+_NAME = rf"({_NAME_RE.pattern})(?!\.?[A-Za-z0-9_:-])"
+_COMMENT = r"#[^\n]*(?![^\n])[ \t\r\n]*"  # to its line's end, so no match ends in one
+_BLANK = rf"[ \t\r\n]*(?:{_COMMENT}(?:{_COMMENT})*|)"
+_STATEMENT_RE = re.compile(
+    rf"{_BLANK}(?:(?:{_NAME}{_BLANK}(?:{_NAME}{_BLANK}(?:{_NAME}{_BLANK}|)|)|)"
+    rf'(?:"([^"\\\n]*(?:\\[nt"\\r][^"\\\n]*)*)"{_BLANK}|)([.;,])'
+    rf"|\Z|@prefix\b{_BLANK}{_NAME}{_BLANK}<([^<>\s]*)>{_BLANK}\.)"
+)
+
+
+def _read_statements(text: str) -> Optional[Document]:
+    """What `_Parser(text).parse()` returns, read in one match per statement, or
+    None at the first text it cannot read as `_Parser` does, whether or not `_Parser`
+    fails there, including integers and booleans, which no workflow holds."""
+    doc, idents, match = Document(), {}, _STATEMENT_RE.match
+    # Each prefixed name's local name and each predicate's, under the prefixes so far.
+    locals_, verbs, append = {}, {"a": "a"}, doc.statements.append
+
+    def local(name: str) -> Optional[str]:
+        prefix, _, rest = name.partition(":")
+        return locals_.setdefault(name, doc.prefixes.get(prefix) == NAMESPACE and rest or None)
+
+    pos, names = 0, 2  # names before the next object: 2 after '.', 1 after ';'
+    while found := match(text, pos):
+        (lead, pred, name, string, punct, prefix, iri), pos = found.groups(), found.end()
+        if punct is None:  # a prefix declaration or the end, after a '.'
+            if prefix is None or names != 2 or prefix[-1] != ":":
+                return doc if prefix is None and names == 2 else None
+            doc.prefixes[prefix[:-1]] = iri
+            locals_, verbs = {}, {"a": "a"}
+            continue
+        if (lead, pred, name, string).count(None) != 3 - names:  # the leads, then one object
+            return None
+        if names < 2:  # no subject: the names read are a predicate, if any, and the object
+            lead, pred, name = (None, lead, pred) if names else (None, None, lead)
+        if lead is not None:  # a subject and its predicate
+            subject = locals_.get(lead) or local(lead)
+        if pred is not None and (predicate := verbs.get(pred)) is None:
+            predicate = verbs[pred] = locals_.get(pred) or local(pred)
+            if predicate not in _PREDICATES:
+                return None
+        if string is not None:
+            obj = _unescape(string, text, pos) if "\\" in string else string
+        elif (obj := locals_.get(name) or local(name)) is None:
+            return None
+        else:
+            obj = idents.get(obj) or idents.setdefault(obj, Ident(obj))
+        if subject is None or predicate == "a" and getattr(obj, "local", None) not in _CLASSES:
+            return None
+        append((subject, predicate, obj))
+        names = ",;.".index(punct)
+    return None
 
 
 def parse_document(text: str) -> Document:
     """Parse text into resolved statements without interpreting them."""
-    return _Parser(text).parse()
+    return _read_statements(text) or _Parser(text).parse()
 
 
 def _value(entry: _Entry, obj: Object, subject: str) -> object:

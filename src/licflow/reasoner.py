@@ -393,7 +393,7 @@ def settled_licensing(graph: WorkflowGraph) -> dict[str, Licensing]:
 
 
 def derive_requests(graph: WorkflowGraph, kb: KnowledgeBase) -> WorkflowGraph:
-    """Derive the usage rights each action needs, licenses already settled."""
+    """Replace `graph.requests` with the rights each action needs, licenses settled."""
     mix_parents = edge_parents(graph, (EdgeKind.MIXWORK,))
     licensing = settled_licensing(graph)
     # Each consumed work's sorted Mixwork closure, and whether every license
@@ -406,8 +406,8 @@ def derive_requests(graph: WorkflowGraph, kb: KnowledgeBase) -> WorkflowGraph:
             for license_id in licensing[wid].members.intersection(kb.licenses)
         ]
         waived[wid] = bool(answers) and all(a is Requirement.WAIVED for a in answers)
-    # Requests made here are distinct, so only those already held can repeat.
-    requests, known = graph.requests, set(graph.requests)
+    # Requests made here are distinct: each names its action and source.
+    requests: list[RequestRecord] = []
     for action in toposort_actions(graph):
         usages = sorted(action_usages(action), key=lambda u: u.value)
         # The usages asked of a target, by whether it waives sublicensing.
@@ -415,9 +415,8 @@ def derive_requests(graph: WorkflowGraph, kb: KnowledgeBase) -> WorkflowGraph:
         for source in dict.fromkeys(inp.work for inp in action.inputs):
             for target in closures[source]:
                 for usage in asked[waived[target]]:
-                    request = _new(RequestRecord, (action.id, source, target, usage))
-                    if not known or request not in known:
-                        requests.append(request)
+                    requests.append(_new(RequestRecord, (action.id, source, target, usage)))
+    graph.requests = requests
     return graph
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -821,6 +822,40 @@ def test_an_index_of_a_graph_whose_licenses_were_never_determined_is_refused(
     graph.works["Z"] = work("Z")
     with pytest.raises(ValueError, match="determine_licenses"):
         analyzer.AnalysisIndex(graph, seed_kb)
+
+
+def test_an_index_answers_as_a_fresh_run_or_refuses_after_rulings_are_edited(seed_kb):
+    # A library caller edits the rulings of a reasoned graph, in place or
+    # by a new list, then runs none, the last or both of the license and
+    # request stages again. An index built before the edit must answer as
+    # a fresh run does or refuse.
+    answered = refused = 0
+    for seed in range(200):
+        reasoned, _ = run_all(random_graph(seed, max_works=6 + seed % 20), seed_kb)
+        targets = published_targets(reasoned)
+        index = analyzer.AnalysisIndex(reasoned, seed_kb)
+        for target in targets:
+            analyze_publication(reasoned, seed_kb, target, index)
+        rng = random.Random(seed)
+        dropped = [r for r in reasoned.rulings if rng.random() < 0.5]
+        if seed % 2:  # edited in place
+            for ruling in dropped:
+                reasoned.rulings.remove(ruling)
+        else:
+            reasoned.rulings = [r for r in reasoned.rulings if r not in dropped]
+        stages = [determine_licenses, derive_requests][2 - seed % 3:]
+        for stage in stages:
+            stage(reasoned, seed_kb)
+        for target in targets:
+            fresh = analyze_publication(reasoned, seed_kb, target)
+            try:
+                assert analyze_publication(reasoned, seed_kb, target, index) == fresh, seed
+                answered += 1
+            except ValueError as err:
+                assert "changed after its index" in str(err)
+                refused += 1
+    # An edit that changes no ruling, license or request leaves the index standing.
+    assert answered > 0 and refused > 0, (answered, refused)
 
 
 def test_one_index_renders_each_wording_once(seed_kb, monkeypatch):

@@ -970,6 +970,26 @@ def test_determining_licenses_again_derives_every_license_afresh(seed_kb):
     assert moved >= 10
 
 
+def test_deriving_requests_again_keeps_none_of_the_old_licensing(seed_kb):
+    # After `determine_licenses` runs again on edited rulings, a work's
+    # members, and so its sublicense waiver, can move. The request stage
+    # run then must derive what a fresh request stage does, no more.
+    moved = 0
+    for seed in range(200):
+        reasoned, _ = run_all(random_graph(seed, max_works=6 + seed % 20), seed_kb)
+        before = set(reasoned.requests)
+        rng = random.Random(seed)
+        reasoned.rulings = [r for r in reasoned.rulings if rng.random() < 0.5]
+        determine_licenses(reasoned, seed_kb)
+        derive_requests(reasoned, seed_kb)
+        fresh = copy.copy(reasoned)
+        fresh.requests = []
+        derive_requests(fresh, seed_kb)
+        assert reasoned.requests == fresh.requests, seed
+        moved += before != set(reasoned.requests)
+    assert moved >= 2
+
+
 def test_diamond_ladders_reason_in_polynomial_time(seed_kb):
     # 2**16 producer paths lead from the publish back to the root; listing
     # them one by one takes tens of seconds.

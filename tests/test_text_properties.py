@@ -5,6 +5,7 @@ fail only with their own error classes, never with a stray exception. A
 graph written by `serialize_graph` parses back to itself, and the order
 of its statement blocks changes nothing `licflow analyze` prints. The
 one-pass workflow lexer agrees with the per-line oracle token for token,
+the workflow statement reader with the token parser wherever it reads,
 and the rules reader with its per-line oracle record for record and
 fault for fault.
 """
@@ -16,6 +17,7 @@ import random
 from bisect import bisect_right
 from string import ascii_letters, digits
 from contextlib import redirect_stdout
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,7 +41,16 @@ from licflow import (
     serialize_graph,
 )
 from licflow.cli import main
-from licflow.interchange import _CLASSES, _NAME_RE, _PREDICATES, _tokenize
+from licflow.interchange import (
+    _CLASSES,
+    _NAME_RE,
+    _PREDICATES,
+    Ident,
+    _Parser,
+    _read_statements,
+    _tokenize,
+    parse_document,
+)
 from licflow.kb import _PROFILE_KEYS, _RULE_KEYS
 
 from _helpers import action, graph_of, inputs_of, work
@@ -357,6 +368,103 @@ def test_the_lexer_agrees_with_the_oracle_on_mutated_fixtures(fixtures_dir):
     )
     # Both outcomes must be exercised, or the comparison proves little.
     assert 100 < lexed < 400
+
+
+# ---------------------------------------------------------------------------
+# Statements: the one-match-per-statement reader against the token parser
+# ---------------------------------------------------------------------------
+
+
+def _typed(doc):
+    """A document's prefixes and statements; `True` and `1` stay apart."""
+    return doc.prefixes, [(s, p, type(o), o) for s, p, o in doc.statements]
+
+
+def _reads_like_the_parser(text: str) -> tuple[bool, bool]:
+    """Whatever the statement reader reads, it reads as the token parser does.
+
+    `parse_document` ends as the parser does too: with the same document,
+    or the same error at the same line and column. Returns whether the
+    parser read the text, and whether the reader did rather than declining.
+    """
+    outcomes = []
+    for parse in (lambda text: _Parser(text).parse(), parse_document):
+        try:
+            outcomes.append(_typed(parse(text)))
+        except InterchangeError as err:
+            where = (getattr(err, "line", None), getattr(err, "column", None))
+            outcomes.append((type(err), str(err), where))
+    assert outcomes[1] == outcomes[0]
+    read = _read_statements(text)
+    if read is not None:
+        assert _typed(read) == outcomes[0]
+    return isinstance(outcomes[0][0], dict), read is not None
+
+
+@BOUNDED
+@given(_arbitrary_text | _statements | _token_soup | _names)
+# A name ends where its token ends, even where a shorter one would read on.
+@example(PREFIX + "\nmg:s mg:namemg:X .\n")
+@example(PREFIX + "\nmg:s mg:name mg:X. .\n")
+@example(PREFIX + '\nmg:s mg:name mg:X.mg:t mg:name "y" .\n')
+@example(PREFIX + "\nmg:s mg:name mg:X..Y .\n")
+@example(PREFIX + '\n# After a comment.\nmg:s mg:name mg:X.mg:Y mg:name "y" .\n')
+# One term too many or too few before the punctuation, or a string before a name.
+@example(PREFIX + '\nmg:s mg:name mg:X "y" .\nmg:s mg:hasOutput mg:X mg:Y .\n')
+@example(PREFIX + '\nmg:s mg:name "y" mg:X .\n')
+@example(PREFIX + "\nmg:s a mg:Work ; .\nmg:s a mg:Work , .\nmg:s a .\n")
+@example(PREFIX + '\nmg:s a mg:Work ; mg:name mg:s "x" .\n')
+# A comment runs to the end of its line, names and punctuation in it included.
+@example(PREFIX + "\n# mg:s a mg:Work .\nmg:s a mg:Work . # mg:t a\n")
+@example(PREFIX + "\nmg:s a mg:Work # not the end .\n")
+@example(PREFIX + '\nmg:s mg:name "a\\"b\\\\c" ; mg:workType "\\q" .\n')
+@example(PREFIX + "\nmg:s a true , 12 , mg:Work , mg:Nothing .\n")
+@example(PREFIX + "\nmg:s mg:name " + "9" * 4301 + " .\n")
+# A name resolves under the prefixes declared before it, and only those.
+@example("@prefix mg: <urn:other#> .\nmg:s a mg:Work .\n" + PREFIX + "\nmg:s a mg:Work .\n")
+@example(PREFIX + '\n@prefix o: <urn:licflow:v1#> .\no:s mg:name "x" .\n'
+         '@prefix mg: <urn:other#> .\no:t mg:name "y" .\n')
+@example(PREFIX + "\n@prefix o: <urn:licflow:v1#> .\no:s o:hasOutput mg:X .\n"
+         "@prefix mg: <urn:other#> .\no:t o:hasOutput mg:X .\n")
+def test_the_statement_reader_agrees_with_the_parser(text):
+    _reads_like_the_parser(text)
+
+
+def test_the_statement_reader_agrees_with_the_parser_on_mutated_fixtures(fixtures_dir):
+    texts = [path.read_text() for path in sorted(fixtures_dir.glob("*.mgw"))]
+    texts += [text.replace("\n", "\r\n") for text in texts]
+    texts += [text.replace("   ", "\t") for text in texts]
+    rng = random.Random(8)
+    outcomes = [_reads_like_the_parser(_mutated(rng, rng.choice(texts))) for _ in range(500)]
+    # The reader declines none of the texts the parser reads, and both
+    # outcomes are exercised, or the comparison proves little.
+    assert all(parsed == read for parsed, read in outcomes)
+    assert 50 < sum(read for _, read in outcomes) < 450
+
+
+def _interned(doc) -> bool:
+    """Whether each local name is one `Ident` object throughout the document."""
+    idents = [o for _, _, o in doc.statements if isinstance(o, Ident)]
+    return len({o.local for o in idents}) == len({id(o) for o in idents})
+
+
+def test_the_statement_reader_reads_what_licflow_writes(fixtures_dir, monkeypatch):
+    # A reader that always declined would pass every test above and gain nothing.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import dense_graph, ladder_graph
+
+    texts = [path.read_text() for path in sorted(fixtures_dir.glob("*.mgw"))]
+    texts += [text.replace("\n", "\r\n") for text in texts]
+    texts += [text.replace("   ", "\t") for text in texts]
+    texts += [serialize_graph(random_graph(seed, 6 + seed % 20)) for seed in range(300)]
+    texts += [serialize_graph(dense_graph()), serialize_graph(ladder_graph())]
+    quoted = graph_of([work("A", name='say "hi" \\ bye\t'), work("B", name="\\")], [])
+    texts.append(serialize_graph(quoted))
+    for text in texts:
+        read = _read_statements(text)
+        assert read is not None, text[:200]
+        assert _typed(read) == _typed(_Parser(text).parse())
+        assert _interned(read)
 
 
 # ---------------------------------------------------------------------------
