@@ -174,7 +174,7 @@ class AnalysisIndex:
         self._profiles: dict[str, list[LicenseProfile]] = {}
         self._answers: dict[tuple[str, Usage], list[Finding]] = {}
         # The codes a ruling carries into a release, by manner and rule id.
-        self._release = {manner: {} for manner in PublishManner}
+        self.release = {manner: {} for manner in PublishManner}
         # (ruling, rule) of each ruling whose rule is known, by work; and per
         # work under a Llama-exclusive ruling, each deriving output that
         # consumes it under another license, once per such ruling.
@@ -185,8 +185,8 @@ class AnalysisIndex:
             if rule is None:
                 continue
             self.ruled.setdefault(record.work, []).append((record, rule))
-            if rule.id not in self._release[PublishManner.SELL]:
-                for manner, codes in self._release.items():
+            if rule.id not in self.release[PublishManner.SELL]:
+                for manner, codes in self.release.items():
                     codes[rule.id] = _release_codes(rule, manner)
             if Restriction.LLAMA_EXCLUSIVE in rule.use_restrictions:
                 self.llama_uses.setdefault(record.work, []).extend(
@@ -272,74 +272,43 @@ class AnalysisIndex:
             self._answers[work_id, usage] = self._about(work_id, codes)
         return self._answers[work_id, usage]
 
-    def publish(self, work_id: str, manner: PublishManner) -> list[Finding]:
-        """Notices, warnings and errors the work's rulings carry into a release."""
-        codes, findings = self._release[manner], self.findings
-        return [
-            findings[code, record.relied_work]
-            for record, rule in self.ruled.get(work_id, ())
-            for code in codes[rule.id]
-        ]
 
-
-@dataclass
-class _Facts:
-    """One target's closure, read through the index of its reasoned graph."""
-
-    index: AnalysisIndex
-    target: str
-    manner: PublishManner
-    full: dict[str, _Settled]  # each work of the full closure, settled
-    contained: set[str]
-
-
-def _facts(index: AnalysisIndex, published: str) -> _Facts:
-    graph = index.graph
-    if published not in graph.works:
-        raise NotPublished(f"unknown work '{published}'")
-    publisher = graph.producers.get(published)
-    if (
-        publisher is None
-        or publisher.kind is not ActionKind.PUBLISH
-        or publisher.publish_manner is None
-    ):
-        raise NotPublished(f"work '{published}' is not the output of a publish action")
-    return _Facts(
-        index=index,
-        target=published,
-        manner=publisher.publish_manner,
-        full={wid: index.settle(wid) for wid in closure(published, index.full_parents)},
-        contained=closure(published, index.ms_parents),
-    )
-
-
-def check_nonstandard_licensing(facts: _Facts) -> list[Finding]:
+def check_nonstandard_licensing(full: dict[str, _Settled]) -> list[Finding]:
     """W1 when a work sits under a license not meant for its material type."""
-    return [f for work in facts.full.values() for f in work.nonstandard]
+    return [f for work in full.values() for f in work.nonstandard]
 
 
-def check_revocability(facts: _Facts) -> list[Finding]:
+def check_revocability(full: dict[str, _Settled]) -> list[Finding]:
     """W2 under revocable licenses, W3 where revocability is unstated."""
-    return [f for work in facts.full.values() for f in work.revocability]
+    return [f for work in full.values() for f in work.revocability]
 
 
-def check_publish_restrictions(facts: _Facts) -> list[Finding]:
-    """Notices and warnings carried by the rulings behind a publication."""
-    index, manner = facts.index, facts.manner
-    return [f for wid in facts.contained for f in index.publish(wid, manner)]
+def check_publish_restrictions(
+    index: AnalysisIndex, contained: set[str], manner: PublishManner
+) -> list[Finding]:
+    """Notices, warnings and errors the rulings on the contained works carry into a release."""
+    codes, findings = index.release[manner], index.findings
+    return [
+        findings[code, record.relied_work]
+        for wid in contained
+        for record, rule in index.ruled.get(wid, ())
+        for code in codes[rule.id]
+    ]
 
 
-def check_conflicts(facts: _Facts) -> list[Finding]:
+def check_conflicts(
+    index: AnalysisIndex, target: str, full: dict[str, _Settled], contained: set[str]
+) -> list[Finding]:
     """Relicensing, exclusivity, and copyleft-collision errors (E6 to E10)."""
-    findings, full = facts.index.findings, facts.full
+    findings = index.findings
     found = [f for work in full.values() for f in work.conflicts]
-    if full[facts.target].exclusive:
-        found += (findings[key] for wid in facts.contained for key in full[wid].freedom)
+    if full[target].exclusive:
+        found += (findings[key] for wid in contained for key in full[wid].freedom)
     # E9 once per Llama-exclusive ruling and deriving output in the closure.
     found += (
         findings[ReportCode.E9, wid]
         for wid in full
-        for output in facts.index.llama_uses.get(wid, ())
+        for output in index.llama_uses.get(wid, ())
         if output in full
     )
     return found
@@ -371,10 +340,22 @@ def analyze_publication(
         raise ValueError("the analysis index was built for another knowledge base")
     elif index.derived != (graph.rulings, graph.licensing, graph.requests):
         raise ValueError("the graph's rulings, licenses or requests changed after its index")
-    facts = _facts(index, published)
-    findings = check_nonstandard_licensing(facts) + check_revocability(facts)
-    findings += (f for work in facts.full.values() for f in work.rights)
-    findings += check_publish_restrictions(facts) + check_conflicts(facts)
+    if published not in graph.works:
+        raise NotPublished(f"unknown work '{published}'")
+    publisher = graph.producers.get(published)
+    if (
+        publisher is None
+        or publisher.kind is not ActionKind.PUBLISH
+        or publisher.publish_manner is None
+    ):
+        raise NotPublished(f"work '{published}' is not the output of a publish action")
+    # Each work of the full closure, settled, and the Mixwork/Subwork closure.
+    full = {wid: index.settle(wid) for wid in closure(published, index.full_parents)}
+    contained = closure(published, index.ms_parents)
+    findings = check_nonstandard_licensing(full) + check_revocability(full)
+    findings += (f for work in full.values() for f in work.rights)
+    findings += check_publish_restrictions(index, contained, publisher.publish_manner)
+    findings += check_conflicts(index, published, full, contained)
     # Equal findings are equal tuples: count them, sort the distinct ones,
     # and repeat each one's Report as often as it was found.
     reports: list[Report] = []

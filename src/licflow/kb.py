@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import (
     Optional,
@@ -178,7 +177,7 @@ class KnowledgeBase:
 
 def bundled_rules_dir() -> Path:
     """Directory holding the rules shipped with the package."""
-    return Path(str(resources.files(__package__).joinpath("rules")))
+    return Path(__file__).with_name("rules")
 
 
 def usage_requirement(kb: KnowledgeBase, license_id: str, usage: Usage) -> Requirement:

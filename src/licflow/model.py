@@ -43,6 +43,18 @@ class CycleIntroduced(GraphError):
     """An action would make a work depend on itself."""
 
 
+class InvalidWorkflow(GraphError):
+    """Works whose declared type and form cannot go together; `reports` holds their E1s."""
+
+    def __init__(self, reports: list[Report]) -> None:
+        # The reports are the one argument, so a pickled copy is built again from them.
+        super().__init__(reports)
+        self.reports = reports
+
+    def __str__(self) -> str:
+        return "; ".join(f"work '{r.subject}': {r.content}" for r in self.reports)
+
+
 class WorkType(Enum):
     # Members are singletons: identity hashing is exact and skips `Enum.__hash__`.
     __hash__ = object.__hash__

@@ -31,6 +31,7 @@ from .model import (
     DependencyEdge,
     EdgeKind,
     InputRole,
+    InvalidWorkflow,
     Origin,
     PublishManner,
     Work,
@@ -38,6 +39,7 @@ from .model import (
     closure,
     edge_parents,
     toposort_actions,
+    validate_graph,
 )
 
 # Works whose licensing was never settled default to a public domain
@@ -220,21 +222,6 @@ def _relied_sources(
 _Held = tuple[set[str], set[str]]
 
 
-def _pin(held: _Held, rulings: Iterable[RulingRecord], kb: KnowledgeBase) -> bool:
-    """Add the licenses rulings pin a work to its held sets; True if they grew."""
-    none_allowed, compat_only = held
-    size = len(none_allowed) + len(compat_only)
-    for record in rulings:
-        rule = kb.rules.get(record.rule)
-        if rule is None:
-            continue
-        if rule.relicense is RelicensePolicy.NONE_ALLOWED:
-            none_allowed.add(rule.license)
-        elif rule.relicense is RelicensePolicy.COMPATIBLE_ONLY:
-            compat_only.add(rule.license)
-    return len(none_allowed) + len(compat_only) > size
-
-
 def _licensing(
     work: Work, producer: Optional[ActionNode], held: _Held, kb: KnowledgeBase
 ) -> Licensing:
@@ -279,14 +266,22 @@ def _licensing(
 def _pin_round(
     pins: dict[str, _Held], rulings: Iterable[RulingRecord], kb: KnowledgeBase
 ) -> list[str]:
-    """Add new rulings to the sets held per work; the works whose sets grew."""
-    by_work: dict[str, list[RulingRecord]] = {}
+    """Add the license each ruling pins its work to; the works whose held sets grew."""
+    grown: dict[str, None] = {}
     for record in rulings:
-        records = by_work.get(record.work)
-        if records is None:
-            records = by_work[record.work] = []
-        records.append(record)
-    return [w for w, records in by_work.items() if w in pins and _pin(pins[w], records, kb)]
+        held, rule = pins.get(record.work), kb.rules.get(record.rule)
+        if held is None or rule is None:
+            continue
+        if rule.relicense is RelicensePolicy.NONE_ALLOWED:
+            licenses = held[0]
+        elif rule.relicense is RelicensePolicy.COMPATIBLE_ONLY:
+            licenses = held[1]
+        else:
+            continue
+        if rule.license not in licenses:
+            licenses.add(rule.license)
+            grown[record.work] = None
+    return list(grown)
 
 
 def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int:
@@ -440,9 +435,12 @@ def refuse_unknown_licenses(graph: WorkflowGraph, kb: KnowledgeBase) -> None:
 def run_all(
     graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool = True
 ) -> tuple[WorkflowGraph, FixpointStats]:
-    """Run every derivation stage on a copy of the graph; unknown license ids raise."""
-    # The stages skip unknown ids, which would drop every finding they bear.
+    """Run every derivation stage on a copy of the graph; unknown ids, then E1s, raise."""
+    # The stages skip unknown ids, which would drop every finding they bear,
+    # and a workflow with an E1 has no findings but its E1s.
     refuse_unknown_licenses(graph, kb)
+    if structural := validate_graph(graph):
+        raise InvalidWorkflow(structural)
     # Derived records and licenses are dropped; the graph maps are rebuilt.
     works = {
         wid: Work(wid, w.name, w.work_type, w.form, base_license(w, wid in graph.producers))

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -25,12 +26,16 @@ from licflow import (
     ExitClass,
     Report,
     ReportCode,
+    WorkType,
     bundled_rules_dir,
+    export_dot,
     parse_workflow,
     serialize_graph,
+    validate_graph,
 )
 from licflow import analyzer, cli, model, reasoner
 from licflow.cli import DISCLAIMER, EXIT_USAGE, KB_ENV_VAR, main
+from licflow.model import form_is_valid
 
 from _helpers import action, diamond_ladder, graph_of, publish, work
 from graphgen import random_graph
@@ -430,6 +435,57 @@ def test_every_misspelt_license_id_of_a_fixture_is_refused(
             cases[kind] += 1
     # Each fixture that parses is covered, so both kinds of id are reached.
     assert cases == {"works": 11, "actions": 1}, cases
+
+
+def test_every_type_form_mismatch_of_a_fixture_is_refused(
+    tmp_path, setting_paths, seed_kb, capsys
+):
+    # Reasoning past an E1 would hand a library caller findings, or a clean
+    # target, that `licflow analyze` never prints: `run_all` refuses the
+    # workflow, and the CLI still prints its validation section and exits 2.
+    cases = 0
+    for path in sorted(setting_paths.values()):
+        text = path.read_text(encoding="utf-8")
+        for wid in sorted(parse_workflow(text).works):
+            graph = parse_workflow(text)
+            work = graph.works[wid]
+            # A new type keeps the form every publish action names for it.
+            work.work_type = next(t for t in WorkType if not form_is_valid(t, work.form))
+            expected = validate_graph(graph)
+            assert [r.subject for r in expected] == [wid]
+            with pytest.raises(licflow.InvalidWorkflow) as raised:
+                licflow.run_all(graph, seed_kb)
+            assert isinstance(raised.value, licflow.GraphError)
+            assert raised.value.reports == expected
+            assert str(raised.value) == f"work '{wid}': {expected[0].content}"
+            copied = pickle.loads(pickle.dumps(raised.value))
+            assert (copied.reports, str(copied)) == (expected, str(raised.value))
+            mismatched = tmp_path / path.name
+            mismatched.write_text(serialize_graph(graph), encoding="utf-8")
+            line = {
+                "code": "E1",
+                "severity": "error",
+                "subject": wid,
+                "target": wid,
+                "content": expected[0].content,
+            }
+            printed = {
+                "human": f"{DISCLAIMER}\nworkflow validation failed\n"
+                f"  E1 (error) subject {wid}: {line['content']}\n"
+                "  total: 1 errors, 0 warnings, 0 notices\n",
+                "structured": json.dumps(line) + "\n",
+                "dot": export_dot(parse_workflow(mismatched.read_text("utf-8")), expected),
+            }
+            for mode, out in printed.items():
+                code = main(["analyze", str(mismatched), "--output", mode])
+                assert (code, capsys.readouterr()) == (ExitClass.ERRORS.value, (out, ""))
+            cases += 1
+    # Every work of every fixture that parses.
+    assert cases == 41, cases
+    # Unknown ids are refused first, as `licflow analyze` reports them first.
+    graph.works[wid].license = "No-Such-License"
+    with pytest.raises(licflow.UnknownLicense):
+        licflow.run_all(graph, seed_kb)
 
 
 def test_the_parsed_graph_is_freed_before_analysis(setting_paths, monkeypatch, capsys):

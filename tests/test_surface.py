@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import types
+from collections import Counter
 from pathlib import Path
 
 import licflow
-from licflow import cli, interchange, reasoner
+from licflow import cli, interchange, parse_workflow, published_targets, reasoner
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -31,6 +33,7 @@ PUBLIC = [
     "GraphError",
     "InputRole",
     "InterchangeError",
+    "InvalidWorkflow",
     "KBError",
     "KnowledgeBase",
     "LicenseFramework",
@@ -121,3 +124,38 @@ def test_every_seam_the_traced_benchmark_replaces_exists(monkeypatch):
         assert callable(getattr(reasoner, stage))
     assert reasoner.FixpointStats(records_created=3).records_created == 3
     assert len(interchange.parse_document(WORKFLOW).statements) == 4
+
+
+def _counting(calls: Counter, name: str, original):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    return counted
+
+
+def test_every_seam_the_traced_benchmark_replaces_runs_in_a_verdict(monkeypatch, capsys):
+    # A seam that is still there but no longer called would read 0 in its
+    # per-layer metric, and the traced run would not notice.
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    seams = {f"{module.__name__}.{attr}": (module, attr) for module, attr, _ in tracing._WRAPPED}
+    seams["licflow.cli.run_all"] = (cli, "run_all")
+    calls: Counter = Counter()
+    for name, (module, attr) in seams.items():
+        monkeypatch.setattr(module, attr, _counting(calls, name, getattr(module, attr)))
+    path = Path(__file__).parent / "fixtures" / "setting-i.mgw"
+    targets = published_targets(parse_workflow(path.read_text(encoding="utf-8")))
+    assert len(targets) == 2
+    code = cli.main(["analyze", str(path), "--output", "structured"])
+    assert code == licflow.ExitClass.WARNINGS.value
+    lines = capsys.readouterr().out.splitlines()
+    assert {json.loads(line)["target"] for line in lines} == set(targets)
+    per_target = {name for name in seams if ".check_" in name}
+    per_target.add("licflow.cli.analyze_publication")
+    assert len(per_target) == 5
+    for name in seams:
+        if name in per_target:
+            assert calls[name] == len(targets), name
+        else:
+            assert calls[name] >= 1, name
