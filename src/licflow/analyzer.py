@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .kb import (
@@ -73,8 +75,14 @@ _USE_RESTRICTION_CODES = {
     Restriction.USE_BEHAVIOR: ReportCode.W7,
     Restriction.RUNTIME_CONTROL: ReportCode.W8,
 }
+_SALE_RESTRICTION_CODES = {Restriction.NON_COMMERCIAL_OUTPUT: ReportCode.E5}
 _FREEDOM = {Restriction.GNU_FREEDOM: ReportCode.E7, Restriction.CC_FREEDOM: ReportCode.E8}
 _REVOCABLE = {Revocability.YES: ReportCode.W2, Revocability.UNSTATED: ReportCode.W3}
+# The code each answer to a request raises, by usage: a reserved sublicense is E4.
+_ANSWER_CODES = {
+    u: {Requirement.NOT_STATED: ReportCode.W4, Requirement.RESERVED: ReportCode.E2} for u in Usage
+}
+_ANSWER_CODES[Usage.SUBLICENSE][Requirement.RESERVED] = ReportCode.E4
 
 _DERIVING_KINDS = {
     ActionKind.MODIFY,
@@ -84,6 +92,14 @@ _DERIVING_KINDS = {
     ActionKind.DISTILL,
     ActionKind.EMBED,
 }
+
+# Members read once per record, bound once (see `model._PRIMARY`).
+_PUBLISH, _REGISTER = ActionKind.PUBLISH, ActionKind.REGISTER_LICENSE
+_INTERNAL, _SELL = PublishManner.INTERNAL, PublishManner.SELL
+_W1, _E3, _E6 = ReportCode.W1, ReportCode.E3, ReportCode.E6
+_E9, _E10 = ReportCode.E9, ReportCode.E10
+_RELICENSE, _COMMERCIAL = Usage.RELICENSE, Usage.COMMERCIAL
+_EXCLUSIVE, _PUBLIC_DOMAIN_LIKE = Restriction.EXCLUSIVE_TERMS, LicenseFramework.PUBLIC_DOMAIN_LIKE
 
 
 def dependency_closure(
@@ -98,7 +114,7 @@ def published_targets(graph: WorkflowGraph) -> list[str]:
     return sorted(
         action.output
         for action in graph.actions.values()
-        if action.kind is ActionKind.PUBLISH
+        if action.kind is _PUBLISH
     )
 
 
@@ -126,12 +142,11 @@ def _release_codes(rule: Rule, manner: PublishManner) -> tuple[ReportCode, ...]:
     releases; restrictions on use apply regardless.
     """
     codes = [_USE_RESTRICTION_CODES.get(r) for r in rule.use_restrictions]
-    if manner is not PublishManner.INTERNAL:
+    if manner is not _INTERNAL:
         codes += map(_PUBLISH_RESTRICTION_CODES.get, rule.publish_restrictions)
-        codes.append(None if rule.allow_sharing else ReportCode.E3)
-    if manner is PublishManner.SELL:
-        noncommercial = Restriction.NON_COMMERCIAL_OUTPUT in rule.use_restrictions
-        codes.append(ReportCode.E5 if noncommercial else None)
+        codes.append(None if rule.allow_sharing else _E3)
+    if manner is _SELL:
+        codes += map(_SALE_RESTRICTION_CODES.get, rule.use_restrictions)
     return tuple(code for code in codes if code is not None)
 
 
@@ -164,11 +179,10 @@ class AnalysisIndex:
         self.licensing = settled_licensing(graph)
         # The rulings are copied, as callers edit them in place; later stages replace theirs.
         self.derived = (list(graph.rulings), self.licensing, graph.requests)
-        # Requests by the output of the action that makes them.
+        # Requests by the output of the action that makes them, a run of one action at a time.
         self.requests: dict[str, list[RequestRecord]] = {}
-        for request in graph.requests:
-            output = graph.actions[request.action].output
-            self.requests.setdefault(output, []).append(request)
+        for action_id, run in groupby(graph.requests, attrgetter("action")):
+            self.requests.setdefault(graph.actions[action_id].output, []).extend(run)
         self.findings = _Findings(graph.works)
         self.settled: dict[str, _Settled] = {}
         self._profiles: dict[str, list[LicenseProfile]] = {}
@@ -180,15 +194,16 @@ class AnalysisIndex:
         # consumes it under another license, once per such ruling.
         self.ruled: dict[str, list[tuple[RulingRecord, Rule]]] = {}
         self.llama_uses: dict[str, list[str]] = {}
+        sold, llama = self.release[_SELL], Restriction.LLAMA_EXCLUSIVE
         for record in graph.rulings:
             rule = kb.rules.get(record.rule)
             if rule is None:
                 continue
             self.ruled.setdefault(record.work, []).append((record, rule))
-            if rule.id not in self.release[PublishManner.SELL]:
+            if rule.id not in sold:
                 for manner, codes in self.release.items():
                     codes[rule.id] = _release_codes(rule, manner)
-            if Restriction.LLAMA_EXCLUSIVE in rule.use_restrictions:
+            if llama in rule.use_restrictions:
                 self.llama_uses.setdefault(record.work, []).extend(
                     out
                     for out in graph.consumers.get(record.work, ())
@@ -215,32 +230,31 @@ class AnalysisIndex:
         profiles, ruled = self.profiles(work_id), self.ruled.get(work_id, ())
         # Public-domain-like licenses fit any work and add no terms of their own.
         binding = [
-            p for p in profiles if p.framework is not LicenseFramework.PUBLIC_DOMAIN_LIKE
+            p for p in profiles if p.framework is not _PUBLIC_DOMAIN_LIKE
         ]
         # E10 for each exclusive-terms ruling whose license the work is not
         # under and for its conflict, E6 for a forbidden registration making it.
         conflicts = [
-            ReportCode.E10
+            _E10
             for _, rule in ruled
-            if Restriction.EXCLUSIVE_TERMS in rule.publish_restrictions
-            and work.license != rule.license
+            if _EXCLUSIVE in rule.publish_restrictions and work.license != rule.license
         ]
         if self.licensing[work_id].conflict:
-            conflicts.append(ReportCode.E10)
+            conflicts.append(_E10)
         if (
             producer is not None
-            and producer.kind is ActionKind.REGISTER_LICENSE
+            and producer.kind is _REGISTER
             and producer.license_to_register is not None
         ):
             source, new = producer.inputs[0].work, producer.license_to_register
             admitted = self.licensing[source].admitted
             if (admitted is not None and new not in admitted) or any(
-                Usage.RELICENSE in p.reserved for p in self.profiles(source)
+                _RELICENSE in p.reserved for p in self.profiles(source)
             ):
-                conflicts.append(ReportCode.E6)
+                conflicts.append(_E6)
         misfit = any(work.work_type not in p.intended_types for p in binding)
         settled = self.settled[work_id] = _Settled(
-            nonstandard=self._about(work_id, [ReportCode.W1] if misfit else []),
+            nonstandard=self._about(work_id, [_W1] if misfit else []),
             revocability=self._about(work_id, {_REVOCABLE.get(p.revocable) for p in profiles}),
             rights=[
                 finding
@@ -255,7 +269,7 @@ class AnalysisIndex:
                 if r in _FREEDOM
             ],
             exclusive=any(
-                Usage.COMMERCIAL in p.reserved or any(r.use_restrictions for r in p.rules)
+                _COMMERCIAL in p.reserved or any(r.use_restrictions for r in p.rules)
                 for p in binding
             ),
         )
@@ -266,9 +280,7 @@ class AnalysisIndex:
         if (work_id, usage) not in self._answers:
             profiles = self.profiles(work_id)
             answers = {usage_requirement(self.kb, p.id, usage) for p in profiles}
-            codes = [ReportCode.W4] if Requirement.NOT_STATED in answers else []
-            if Requirement.RESERVED in answers:
-                codes.append(ReportCode.E4 if usage is Usage.SUBLICENSE else ReportCode.E2)
+            codes = map(_ANSWER_CODES[usage].get, answers)
             self._answers[work_id, usage] = self._about(work_id, codes)
         return self._answers[work_id, usage]
 
@@ -306,7 +318,7 @@ def check_conflicts(
         found += (findings[key] for wid in contained for key in full[wid].freedom)
     # E9 once per Llama-exclusive ruling and deriving output in the closure.
     found += (
-        findings[ReportCode.E9, wid]
+        findings[_E9, wid]
         for wid in full
         for output in index.llama_uses.get(wid, ())
         if output in full
@@ -345,7 +357,7 @@ def analyze_publication(
     publisher = graph.producers.get(published)
     if (
         publisher is None
-        or publisher.kind is not ActionKind.PUBLISH
+        or publisher.kind is not _PUBLISH
         or publisher.publish_manner is None
     ):
         raise NotPublished(f"work '{published}' is not the output of a publish action")

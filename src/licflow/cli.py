@@ -29,7 +29,7 @@ from .interchange import InterchangeError, export_dot, parse_workflow
 from .kb import KBError, KnowledgeBase, bundled_rules_dir, load_kb
 from .model import GraphError, WorkflowGraph, validate_graph
 from .reasoner import refuse_unknown_licenses, run_all
-from .reports import Report, Severity, parse_code, render, sort_reports
+from .reports import Report, ReportCode, Severity, parse_code, render, sort_reports
 
 # Usage and input failures; results exit with their `ExitClass` value.
 EXIT_USAGE = 3
@@ -66,11 +66,16 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+# Each code's `"code"` and `"severity"` keys of a structured line, quoted once.
+_HEADS = {
+    c: f'{{"code": {_quote(c.name)}, "severity": {_quote(c.severity.value)}, ' for c in ReportCode
+}
+
+
 def _structured_line(r: Report) -> str:
     """`json.dumps` of the report's five keys, each string quoted by its encoder."""
     return (
-        f'{{"code": {_quote(r.code.name)}, "severity": {_quote(r.severity.value)}, '
-        f'"subject": {_quote(r.subject)}, "target": {_quote(r.target)}, '
+        f'{_HEADS[r.code]}"subject": {_quote(r.subject)}, "target": {_quote(r.target)}, '
         f'"content": {_quote(r.content)}}}'
     )
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import EnumMeta
+from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 from .kb import OutputDefinition, Usage
@@ -47,6 +48,7 @@ from .reports import Report
 
 NAMESPACE = "urn:licflow:v1#"
 PREFIX = "mg"
+_new = tuple.__new__  # builds a record from a tuple of its fields
 
 
 class InterchangeError(ValueError):
@@ -123,6 +125,11 @@ class _Entry:
         self.many = kind is set or isinstance(kind, InputRole)
         # The member each value of an enum reads as.
         self.members = {m.value: m for m in kind} if isinstance(kind, EnumMeta) else None
+        # The class of the objects `_value` accepts, and how it reads one: None
+        # for an unknown enum value, whose fault `_value` reports.
+        self.type = Ident if kind is Ident or self.many else str
+        plain = attrgetter("local") if self.type is Ident else str
+        self.read = self.members.get if self.members else plain
 
 
 class _Node:
@@ -450,14 +457,14 @@ def _value(entry: _Entry, obj: Object, subject: str) -> object:
     return member
 
 
-def _read(subject: str, rows: list[tuple[str, Object]], node: _Node) -> dict:
+def _read(subject: str, rows: list[tuple[str, str, Object]], node: _Node) -> dict:
     """The fields a node's statements fill, read in statement order.
 
     Reasoner-owned statements are skipped. The first statement at fault
     is reported, then the first required predicate left unstated.
     """
     values = {name: empty() for name, empty in node.containers.items()}
-    for predicate, obj in rows:
+    for _, predicate, obj in rows:
         if predicate == "a" or predicate in _REASONER_PREDICATES:
             continue
         entry = node.entries.get(predicate)
@@ -467,13 +474,15 @@ def _read(subject: str, rows: list[tuple[str, Object]], node: _Node) -> dict:
             )
         if entry.field in values and not entry.many:
             raise SemanticError(f"duplicate 'mg:{predicate}' on '{subject}'")
-        value = _value(entry, obj, subject)
+        value = entry.read(obj) if obj.__class__ is entry.type else None
+        if value is None:
+            value = _value(entry, obj, subject)
         if not entry.many:
             values[entry.field] = value
         elif entry.kind is set:
             values[entry.field].add(value)
         else:
-            values[entry.field].append(ActionInput(value, entry.kind))
+            values[entry.field].append(_new(ActionInput, (value, entry.kind)))
     for entry in node.required:
         if entry.field not in values:
             raise SemanticError(
@@ -491,13 +500,13 @@ def parse_workflow(text: str) -> WorkflowGraph:
     """
     doc = parse_document(text)
 
-    rows_of: dict[str, list[tuple[str, Object]]] = {}
-    for subject, predicate, obj in doc.statements:
-        rows_of.setdefault(subject, []).append((predicate, obj))
+    rows_of: dict[str, list[tuple[str, str, Object]]] = {}
+    for statement in doc.statements:
+        rows_of.setdefault(statement[0], []).append(statement)
 
     classes: dict[str, str] = {}
     for subject, rows in rows_of.items():
-        for predicate, obj in rows:
+        for _, predicate, obj in rows:
             if predicate == "a":
                 if subject in classes:
                     raise SemanticError(f"'{subject}' declared with two classes")
@@ -514,10 +523,10 @@ def parse_workflow(text: str) -> WorkflowGraph:
         _value(_OUTPUT, obj, subject)
         for subject, rows in rows_of.items()
         if classes[subject] in _ACTION_CLASSES
-        for predicate, obj in rows
+        for _, predicate, obj in rows
         if predicate == _OUTPUT.predicate
     }
-    graph = WorkflowGraph()
+    graph, declared = WorkflowGraph(), Origin.USER_DECLARED
     for subject, rows in rows_of.items():
         if classes[subject] != "Work":
             continue
@@ -527,7 +536,7 @@ def parse_workflow(text: str) -> WorkflowGraph:
             raise SemanticError(
                 f"work '{subject}' is produced by an action but declares a license"
             )
-        work.license, work.origin = license_id, Origin.USER_DECLARED
+        work.license, work.origin = license_id, declared
         add_work(graph, work)
     for subject, rows in rows_of.items():
         kind = _ACTION_CLASSES.get(classes[subject])
@@ -622,7 +631,7 @@ def export_dot(graph: WorkflowGraph, reports: Iterable[Report] = ()) -> str:
     for report in reports:
         codes_by_subject.setdefault(report.subject, []).append(f"[{report.code.name}]")
 
-    lines = ["digraph workflow {"]
+    lines, primary = ["digraph workflow {"], InputRole.PRIMARY
     for wid in sorted(graph.works):
         work = graph.works[wid]
         parts = [work.name, f"{work.work_type.value}/{work.form.value}"]
@@ -634,7 +643,7 @@ def export_dot(graph: WorkflowGraph, reports: Iterable[Report] = ()) -> str:
         action = graph.actions[aid]
         for inp in action.inputs:
             label = action.kind.value
-            if inp.role is not InputRole.PRIMARY:
+            if inp.role is not primary:
                 label += f" ({inp.role.value})"
             lines.append(
                 f"  {_dot_quote(inp.work)} -> {_dot_quote(action.output)} "

@@ -7,6 +7,7 @@ license text. Each token is the value of the enum it becomes.
 
 from __future__ import annotations
 
+import os
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -71,6 +72,7 @@ class OutputDefinition(Enum):
 
 
 class RelicensePolicy(Enum):
+    __hash__ = object.__hash__
     NONE_ALLOWED = "none"
     COMPATIBLE_ONLY = "compatible"
     ANY = "any"
@@ -180,16 +182,21 @@ def bundled_rules_dir() -> Path:
     return Path(__file__).with_name("rules")
 
 
+# Members read once per request, bound once (see `model._PRIMARY`).
+_SUBLICENSE, _GRANTED = Usage.SUBLICENSE, Requirement.GRANTED
+_RESERVED, _NOT_STATED, _WAIVED = Requirement.RESERVED, Requirement.NOT_STATED, Requirement.WAIVED
+
+
 def usage_requirement(kb: KnowledgeBase, license_id: str, usage: Usage) -> Requirement:
     """How one license answers a request for one usage right."""
     profile = kb.profile(license_id)
-    if usage is Usage.SUBLICENSE and profile.sublicense_waived_by_auto_relicense:
-        return Requirement.WAIVED
+    if usage is _SUBLICENSE and profile.sublicense_waived_by_auto_relicense:
+        return _WAIVED
     if usage in profile.granted:
-        return Requirement.GRANTED
+        return _GRANTED
     if usage in profile.reserved:
-        return Requirement.RESERVED
-    return Requirement.NOT_STATED
+        return _RESERVED
+    return _NOT_STATED
 
 
 def _form_matches(query: WorkForm, triggers: set[WorkForm], fuzz: bool) -> bool:
@@ -368,7 +375,8 @@ def _build_rule(entries: dict[str, str], license_id: str) -> Rule:
 
 def _parse_file(path: Path) -> LicenseProfile:
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     sections = _sections(path, text)
@@ -395,7 +403,7 @@ def load_kb(paths: Sequence[Union[str, Path]]) -> KnowledgeBase:
     for entry in paths:
         path = Path(entry)
         if path.is_dir():
-            files.extend(sorted(path.glob("*.mgl")))
+            files += [path / name for name in sorted(os.listdir(path)) if name.endswith(".mgl")]
         elif path.is_file():
             files.append(path)
         else:

@@ -112,6 +112,7 @@ class ActionKind(Enum):
 
 
 class InputRole(Enum):
+    __hash__ = object.__hash__
     PRIMARY = "primary"
     AUXILIARY = "auxiliary"
     TRAINING_DATA = "training_data"
@@ -153,7 +154,15 @@ _VALID_FORMS = {
     WorkType.SOFTWARE: {WorkForm.CODE, WorkForm.EXE, WorkForm.SAAS, WorkForm.API},
     WorkType.MODEL: {WorkForm.WEIGHTS, WorkForm.EXE, WorkForm.SAAS, WorkForm.API},
     WorkType.DATASET: {WorkForm.CORPUS, WorkForm.TEXT, WorkForm.IMAGE, WorkForm.API},
+    WorkType.MIXED: set(WorkForm),
 }
+
+# Code run once per record reads the members it tests through names bound
+# once: on Python 3.10 and 3.11 every `Enum.MEMBER` read is a call to the
+# slot hook of `EnumType.__getattr__`, about ten times a global read.
+_PRIMARY, _TRAINING = InputRole.PRIMARY, InputRole.TRAINING_DATA
+_COMBINE, _TRAIN, _PUBLISH = ActionKind.COMBINE, ActionKind.TRAIN, ActionKind.PUBLISH
+_REGISTER = ActionKind.REGISTER_LICENSE
 
 
 @dataclass
@@ -220,9 +229,7 @@ def _link_action(graph: WorkflowGraph, action: ActionNode) -> None:
 
 def form_is_valid(work_type: WorkType, form: WorkForm) -> bool:
     """Check whether a concrete form is plausible for a work type."""
-    if form.is_bare or work_type is WorkType.MIXED:
-        return True
-    return form in _VALID_FORMS[work_type]
+    return form.is_bare or form in _VALID_FORMS[work_type]
 
 
 def add_work(graph: WorkflowGraph, work: Work) -> None:
@@ -258,19 +265,19 @@ def closure(start: str, parents: Mapping[str, Iterable[str]]) -> set[str]:
 
 def _check_arity(graph: WorkflowGraph, action: ActionNode) -> None:
     roles = [inp.role for inp in action.inputs]
-    primaries = roles.count(InputRole.PRIMARY)
-    training = roles.count(InputRole.TRAINING_DATA)
+    primaries = roles.count(_PRIMARY)
+    training = roles.count(_TRAINING)
 
-    if training and action.kind is not ActionKind.TRAIN:
+    if training and action.kind is not _TRAIN:
         raise ArityViolation(
             f"action {action.id!r}: training data inputs are only valid on train"
         )
-    if action.kind in (ActionKind.PUBLISH, ActionKind.REGISTER_LICENSE):
+    if action.kind is _PUBLISH or action.kind is _REGISTER:
         if len(action.inputs) != 1 or primaries != 1:
             raise ArityViolation(
                 f"action {action.id!r}: {action.kind.value} takes exactly one primary input"
             )
-    elif action.kind is ActionKind.COMBINE:
+    elif action.kind is _COMBINE:
         if primaries < 1:
             raise ArityViolation(
                 f"action {action.id!r}: combine needs at least one primary input"
@@ -281,18 +288,18 @@ def _check_arity(graph: WorkflowGraph, action: ActionNode) -> None:
                 f"action {action.id!r}: {action.kind.value} takes exactly one primary input"
             )
 
-    if action.kind is ActionKind.PUBLISH:
+    if action.kind is _PUBLISH:
         if action.publish_manner is None:
             raise ArityViolation(f"action {action.id!r}: publish requires a manner")
     elif action.publish_manner is not None:
         raise ArityViolation(
             f"action {action.id!r}: publish manner is only valid on publish"
         )
-    if action.publish_form is not None and action.kind is not ActionKind.PUBLISH:
+    if action.publish_form is not None and action.kind is not _PUBLISH:
         raise ArityViolation(
             f"action {action.id!r}: publish form is only valid on publish"
         )
-    if action.kind is ActionKind.REGISTER_LICENSE:
+    if action.kind is _REGISTER:
         if not action.license_to_register:
             raise ArityViolation(
                 f"action {action.id!r}: register_license requires a license id"
@@ -302,9 +309,7 @@ def _check_arity(graph: WorkflowGraph, action: ActionNode) -> None:
             f"action {action.id!r}: a license can only be set by register_license"
         )
     if action.copublish:
-        training_ids = {
-            inp.work for inp in action.inputs if inp.role is InputRole.TRAINING_DATA
-        }
+        training_ids = {inp.work for inp in action.inputs if inp.role is _TRAINING}
         stray = action.copublish - training_ids
         if stray:
             raise ArityViolation(
@@ -420,8 +425,9 @@ def generalize_output_typing(
 
 def validate_graph(graph: WorkflowGraph) -> list[Report]:
     """Report every work whose declared type and form cannot go together."""
+    e1 = ReportCode.E1
     return [
-        Report(ReportCode.E1, wid, wid, render(ReportCode.E1, work.name))
+        Report(e1, wid, wid, render(e1, work.name))
         for wid, work in sorted(graph.works.items())
         if not form_is_valid(work.work_type, work.form)
     ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, NamedTuple, Optional
 
 from .kb import (
@@ -24,7 +25,6 @@ from .kb import (
     usage_requirement,
 )
 from .model import (
-    ActionInput,
     ActionKind,
     ActionNode,
     ArityViolation,
@@ -101,6 +101,10 @@ class FixpointStats:
 
 _IDENTITY_KINDS = {ActionKind.COPY, ActionKind.PUBLISH}
 
+# Members tested once per record, bound once (see `model._PRIMARY`).
+_COPY, _COMBINE, _PRIMARY = ActionKind.COPY, ActionKind.COMBINE, InputRole.PRIMARY
+_DECLARED, _DERIVED = Origin.USER_DECLARED, Origin.DERIVED
+
 _KIND_USAGES = {
     ActionKind.COPY: (Usage.USE,),
     ActionKind.COMBINE: (Usage.USE,),
@@ -122,33 +126,37 @@ _MANNER_USAGES = {
 
 def action_usages(action: ActionNode) -> tuple[Usage, ...]:
     """Usage rights one action requires from the works it consumes."""
-    if action.kind is ActionKind.PUBLISH:
-        if action.publish_manner is None:
-            raise ArityViolation(f"action {action.id!r}: publish requires a manner")
-        return _MANNER_USAGES[action.publish_manner]
-    return _KIND_USAGES[action.kind]
+    if action.kind in _KIND_USAGES:
+        return _KIND_USAGES[action.kind]
+    if action.publish_manner is None:
+        raise ArityViolation(f"action {action.id!r}: publish requires a manner")
+    return _MANNER_USAGES[action.publish_manner]
 
 
 _AUXILIARY_KINDS = (ActionKind.GENERATE, ActionKind.DISTILL, ActionKind.EMBED)
 
 
-def _edge_kind(action: ActionNode, inp: ActionInput) -> EdgeKind:
-    """How one input of a structurally valid action goes into its output."""
-    if action.kind is ActionKind.REGISTER_LICENSE:
+def _edge_kind(kind: ActionKind, role: InputRole, copublished: bool) -> EdgeKind:
+    """How an input in this role of a structurally valid action goes into its output."""
+    if kind is ActionKind.REGISTER_LICENSE:
         return EdgeKind.PROVENANCE
-    if inp.role is InputRole.TRAINING_DATA:
-        return EdgeKind.SUBWORK if inp.work in action.copublish else EdgeKind.AUXWORK
-    if inp.role is InputRole.AUXILIARY or action.kind in _AUXILIARY_KINDS:
+    if role is InputRole.TRAINING_DATA:
+        return EdgeKind.SUBWORK if copublished else EdgeKind.AUXWORK
+    if role is InputRole.AUXILIARY or kind in _AUXILIARY_KINDS:
         return EdgeKind.AUXWORK
     return EdgeKind.MIXWORK
+
+
+# The edge kind of each (action kind, input role, co-published) input.
+_EDGE_KIND = {key: _edge_kind(*key) for key in product(ActionKind, InputRole, (False, True))}
 
 
 def derive_compositional(graph: WorkflowGraph) -> WorkflowGraph:
     """Attach one dependency edge per action input, typed by action kind."""
     edges = {
-        DependencyEdge(_edge_kind(action, inp), inp.work, action.output)
-        for action in graph.actions.values()
-        for inp in action.inputs
+        _new(DependencyEdge, (_EDGE_KIND[a.kind, i.role, i.work in a.copublish], i.work, a.output))
+        for a in graph.actions.values()
+        for i in a.inputs
     }
     graph.edges = sorted(edges, key=lambda e: (e.kind.value, e.source, e.target))
     return graph
@@ -160,22 +168,20 @@ def base_license(work: Work, produced: bool) -> Optional[str]:
     The reasoner derives every produced work's license but gives a root
     only the default, so any other license on a root was stated by hand.
     """
-    if work.origin is Origin.DERIVED and (produced or work.license == DEFAULT_LICENSE):
+    if work.origin is _DERIVED and (produced or work.license == DEFAULT_LICENSE):
         return None
     return work.license
 
 
 def _declared_license(work: Work) -> Optional[str]:
     """The license a user gave the work, None if it is unset or derived."""
-    return work.license if work.origin is Origin.USER_DECLARED else None
+    return work.license if work.origin is _DECLARED else None
 
 
 def _normalized_kind(action: ActionNode) -> ActionKind:
     # Combining a single work adds nothing of its own; treat it as a copy.
-    if action.kind is ActionKind.COMBINE:
-        primaries = sum(1 for inp in action.inputs if inp.role is InputRole.PRIMARY)
-        if primaries == 1:
-            return ActionKind.COPY
+    if action.kind is _COMBINE and [inp.role for inp in action.inputs].count(_PRIMARY) == 1:
+        return _COPY
     return action.kind
 
 
@@ -220,6 +226,8 @@ def _relied_sources(
 
 # A work's none-allowed and compatible-only licenses.
 _Held = tuple[set[str], set[str]]
+# Which of them a ruling adds its license to, by the rule's relicensing policy.
+_HELD = {RelicensePolicy.NONE_ALLOWED: 0, RelicensePolicy.COMPATIBLE_ONLY: 1}
 
 
 def _licensing(
@@ -270,14 +278,9 @@ def _pin_round(
     grown: dict[str, None] = {}
     for record in rulings:
         held, rule = pins.get(record.work), kb.rules.get(record.rule)
-        if held is None or rule is None:
+        if held is None or rule is None or rule.relicense not in _HELD:
             continue
-        if rule.relicense is RelicensePolicy.NONE_ALLOWED:
-            licenses = held[0]
-        elif rule.relicense is RelicensePolicy.COMPATIBLE_ONLY:
-            licenses = held[1]
-        else:
-            continue
+        licenses = held[_HELD[rule.relicense]]
         if rule.license not in licenses:
             licenses.add(rule.license)
             grown[record.work] = None
@@ -337,9 +340,9 @@ def _ruling_fixpoint(graph: WorkflowGraph, kb: KnowledgeBase, fuzz: bool) -> int
                         key = (output, source, rule.id)
                         if key not in known:
                             known.add(key)
-                            fresh.append(
-                                RulingRecord(output, source, rule.id, rule.output_def)
-                            )
+                            fresh.append(_new(
+                                RulingRecord, (output, source, rule.id, rule.output_def)
+                            ))
         if not fresh:
             return iterations
         graph.rulings.extend(fresh)
@@ -371,7 +374,7 @@ def determine_licenses(
             work, graph.producers.get(wid), pins[wid], kb
         )
         if _declared_license(work) is None:
-            work.license, work.origin = license_id, Origin.DERIVED
+            work.license, work.origin = license_id, _DERIVED
         if admitted is not None:
             admitted = shared.setdefault(admitted, admitted)
         members = shared.setdefault(members, members)
@@ -395,18 +398,19 @@ def derive_requests(graph: WorkflowGraph, kb: KnowledgeBase) -> WorkflowGraph:
     # speaking for a work waives sublicensing, are settled once per work.
     closures = {wid: sorted(closure(wid, mix_parents)) for wid in graph.consumers}
     waived: dict[str, bool] = {}
+    sublicense, waives = Usage.SUBLICENSE, Requirement.WAIVED
     for wid in graph.works:
         answers = [
-            usage_requirement(kb, license_id, Usage.SUBLICENSE)
+            usage_requirement(kb, license_id, sublicense)
             for license_id in licensing[wid].members.intersection(kb.licenses)
         ]
-        waived[wid] = bool(answers) and all(a is Requirement.WAIVED for a in answers)
+        waived[wid] = bool(answers) and all(a is waives for a in answers)
     # Requests made here are distinct: each names its action and source.
     requests: list[RequestRecord] = []
     for action in toposort_actions(graph):
         usages = sorted(action_usages(action), key=lambda u: u.value)
         # The usages asked of a target, by whether it waives sublicensing.
-        asked = (usages, [u for u in usages if u is not Usage.SUBLICENSE])
+        asked = (usages, [u for u in usages if u is not sublicense])
         for source in dict.fromkeys(inp.work for inp in action.inputs):
             for target in closures[source]:
                 for usage in asked[waived[target]]:

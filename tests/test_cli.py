@@ -26,7 +26,11 @@ from licflow import (
     ExitClass,
     Report,
     ReportCode,
+    WorkForm,
+    WorkflowGraph,
     WorkType,
+    add_action,
+    add_work,
     bundled_rules_dir,
     export_dot,
     parse_workflow,
@@ -37,7 +41,7 @@ from licflow import analyzer, cli, model, reasoner
 from licflow.cli import DISCLAIMER, EXIT_USAGE, KB_ENV_VAR, main
 from licflow.model import form_is_valid
 
-from _helpers import action, diamond_ladder, graph_of, publish, work
+from _helpers import action, code_work, copy_chain, diamond_ladder, graph_of, publish, work
 from graphgen import random_graph
 
 CLEAN_WORKFLOW = """\
@@ -362,6 +366,47 @@ def test_whole_graph_grouping_happens_once_per_verdict(tmp_path, monkeypatch, ca
     assert counts[0] == counts[1]
 
 
+def _member_lookups(path: Path, output: str, monkeypatch) -> int:
+    """Enum members read from their class during one `licflow analyze` of the file."""
+    meta = type(ActionKind)  # `EnumMeta` on Python 3.10, `EnumType` after
+    lookup, found = meta.__getattribute__, []
+
+    def counting(cls, name):
+        value = lookup(cls, name)
+        if isinstance(value, cls):
+            found.append(name)
+        return value
+
+    with monkeypatch.context() as patch:
+        patch.setattr(meta, "__getattribute__", counting)
+        main(["analyze", str(path), "--output", output])
+    return len(found)
+
+
+def _published_chain(steps: int) -> WorkflowGraph:
+    graph = copy_chain(steps, "GPL-3.0")
+    add_work(graph, code_work("OUT"))
+    add_action(graph, publish("pub", f"C{steps:04d}", "OUT", publish_form=WorkForm.CODE))
+    return graph
+
+
+def test_a_verdict_reads_no_enum_member_per_record(tmp_path, monkeypatch, capsys):
+    # On Python 3.10 and 3.11 each `Enum.MEMBER` read calls the metaclass's
+    # `__getattr__` hook, so code run once per work, action, input, edge,
+    # ruling, request or report line decides by tables or by members bound
+    # once: a verdict reads as many members from their classes at any size.
+    for small, large in ((_published_chain(40), _published_chain(80)),
+                         (diamond_ladder(4), diamond_ladder(8))):
+        for output in ("structured", "human"):
+            counts = []
+            for size, graph in (("small", small), ("large", large)):
+                path = tmp_path / f"{size}.mgw"
+                path.write_text(serialize_graph(graph), encoding="utf-8")
+                counts.append(_member_lookups(path, output, monkeypatch))
+                assert capsys.readouterr().err == ""
+            assert 0 < counts[0] == counts[1], output
+
+
 def test_one_verdict_reads_each_works_relicensing_terms_once(
     tmp_path, setting_paths, monkeypatch, capsys
 ):
@@ -666,6 +711,20 @@ def test_a_rules_file_that_is_not_utf8_is_a_usage_failure(command, tmp_path, cap
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert f"licflow: error: cannot read {path}: 'utf-8' codec" in err
+
+
+def test_a_rules_directory_that_cannot_be_listed_is_a_usage_failure(
+    tmp_path, monkeypatch, capsys
+):
+    # Loading no rules from it would call every license the workflow names unknown.
+    def denied(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(os, "listdir", denied)
+    code = main(["licenses", "--kb", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == f"licflow: error: [Errno 13] Permission denied: '{tmp_path}'\n"
 
 
 def test_analyze_rejects_a_literal_class(tmp_path, capsys):

@@ -117,6 +117,20 @@ def test_directory_loading_picks_up_every_mgl_file(tmp_path):
     assert set(kb.licenses) == {"Test-1", "Test-2"}
 
 
+def test_a_directory_loads_each_entry_named_mgl_in_name_order(tmp_path):
+    # Hidden names load too, and the suffix is matched case by case.
+    for name, license_id in (("b.mgl", "Test-1"), ("a.mgl", "Test-2"), (".c.mgl", "Test-3"),
+                             ("Z.mgl", "Test-4"), ("X.MGL", "Test-5"), ("y.mgl.txt", "Test-6")):
+        _write_kb(tmp_path, MINIMAL_PROFILE.replace("Test-1", license_id), name)
+    assert list(load_kb([tmp_path]).licenses) == ["Test-3", "Test-4", "Test-2", "Test-1"]
+
+
+def test_a_directory_named_as_a_rules_file_cannot_be_read(tmp_path):
+    (tmp_path / "d.mgl").mkdir()
+    with pytest.raises(ParseError, match=re.escape(f"cannot read {tmp_path / 'd.mgl'}: ")):
+        load_kb([tmp_path])
+
+
 # ---------------------------------------------------------------------------
 # Loader error branches
 # ---------------------------------------------------------------------------
