@@ -66,10 +66,12 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-# Each code's `"code"` and `"severity"` keys of a structured line, quoted once.
+# Each code's `"code"` and `"severity"` keys of a structured line, quoted
+# once, and each code's head of a human line.
 _HEADS = {
     c: f'{{"code": {_quote(c.name)}, "severity": {_quote(c.severity.value)}, ' for c in ReportCode
 }
+_HUMAN_HEADS = {c: f"  {c.name} ({c.severity.value}) subject " for c in ReportCode}
 
 
 def _structured_line(r: Report) -> str:
@@ -81,7 +83,7 @@ def _structured_line(r: Report) -> str:
 
 
 def _human_line(r: Report) -> str:
-    return f"  {r.code.name} ({r.severity.value}) subject {r.subject}: {r.content}"
+    return f"{_HUMAN_HEADS[r.code]}{r.subject}: {r.content}"
 
 
 def _print_lines(reports: list[Report], line: Callable[[Report], str]) -> None:

@@ -329,15 +329,8 @@ def _sections(path: Path, text: str) -> list[tuple[str, dict[str, str]]]:
     return sections
 
 
-def _build_profile(entries: dict[str, str]) -> LicenseProfile:
-    stated: dict[str, str] = {}
-    metadata: dict[str, str] = {}
-    for key, value in entries.items():
-        if key.startswith("meta."):
-            metadata[key[len("meta."):]] = value
-        else:
-            stated[key] = value
-    profile = LicenseProfile(**_read(_PROFILE_SCHEMA, stated), metadata=metadata)
+def _build_profile(values: dict[str, object], metadata: dict[str, str]) -> LicenseProfile:
+    profile = LicenseProfile(**values, metadata=metadata)
 
     overlap = profile.granted & profile.reserved
     if overlap:
@@ -350,8 +343,8 @@ def _build_profile(entries: dict[str, str]) -> LicenseProfile:
     return profile
 
 
-def _build_rule(entries: dict[str, str], license_id: str) -> Rule:
-    rule = Rule(license=license_id, **_read(_RULE_SCHEMA, entries))
+def _build_rule(values: dict[str, object], license_id: str) -> Rule:
+    rule = Rule(license=license_id, **values)
 
     if not (
         rule.trigger_actions and rule.trigger_input_forms and rule.trigger_output_forms
@@ -373,7 +366,55 @@ def _build_rule(entries: dict[str, str], license_id: str) -> Rule:
     return rule
 
 
-def _parse_file(path: Path) -> LicenseProfile:
+def _read_profile(text: str) -> Optional[LicenseProfile]:
+    """The file's profile and rules, each value converted as its line is read.
+
+    None at the first line, value or section that `_parse_sections`
+    would refuse; it then reads the file again to word the fault.
+    """
+    profile: Optional[LicenseProfile] = None
+    values: Optional[dict[str, object]] = None  # the open section's fields
+    metadata: dict[str, str] = {}
+    keys = _PROFILE_SCHEMA[0]
+    try:
+        # The end of the text builds the last section, as a header does.
+        for line in text.splitlines() + ["[rule]"]:
+            line = line.strip()
+            if not line or line[0] == "#":
+                continue
+            if line[0] == "[" and line[-1] == "]":
+                # A missing key fails the section's dataclass `__init__`.
+                if profile is not None:
+                    profile.rules.append(_build_rule(values, profile.id))
+                elif values is not None:
+                    profile, keys = _build_profile(values, metadata), _RULE_SCHEMA[0]
+                if line[1:-1].strip() != ("profile" if profile is None else "rule"):
+                    return None
+                values = {}
+                continue
+            key, equals, raw = line.partition("=")
+            key = key.rstrip()
+            if values is None or not equals or key in values:
+                return None
+            if key in keys:
+                _, tokens, many = keys[key]
+                raw = raw.lstrip()
+                if many:
+                    items = filter(None, map(str.strip, raw.split(",")))
+                    values[key] = set(map(tokens.__getitem__, items) if tokens else items)
+                else:
+                    values[key] = raw if tokens is None else tokens[raw]
+            elif profile is None and key.startswith("meta.") and key[5:] not in metadata:
+                metadata[key[5:]] = raw.lstrip()
+            else:
+                return None
+        return profile
+    except (KeyError, TypeError, _SectionFault):
+        return None
+
+
+def _parse_sections(path: Path) -> LicenseProfile:
+    """The file read section by section, raising its first fault in its own words."""
     try:
         with open(path, "rb", buffering=0) as handle:
             text = handle.read().decode("utf-8-sig")
@@ -384,33 +425,49 @@ def _parse_file(path: Path) -> LicenseProfile:
         raise ParseError(f"{path}: file must start with a [profile] section")
     if any(name == "profile" for name, _ in sections[1:]):
         raise ParseError(f"{path}: only one [profile] section per file")
+    entries = sections[0][1]
+    metadata = {k[5:]: v for k, v in entries.items() if k.startswith("meta.")}
+    stated = {k: v for k, v in entries.items() if not k.startswith("meta.")}
     try:
-        profile = _build_profile(sections[0][1])
+        profile = _build_profile(_read(_PROFILE_SCHEMA, stated), metadata)
     except _SectionFault as fault:
         raise ParseError(f"{path} [profile]{fault}") from None
     for _, entries in sections[1:]:
         try:
-            profile.rules.append(_build_rule(entries, profile.id))
+            profile.rules.append(_build_rule(_read(_RULE_SCHEMA, entries), profile.id))
         except _SectionFault as fault:
             rule_id = entries.get("id", "<missing id>")
             raise ParseError(f"{path} [rule {rule_id}]{fault}") from None
     return profile
 
 
+def _parse_file(file: str) -> LicenseProfile:
+    try:
+        with open(file, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError):
+        text = ""  # read again by `_parse_sections`, which words the fault
+    profile = _read_profile(text)
+    return _parse_sections(Path(file)) if profile is None else profile
+
+
 def load_kb(paths: Sequence[Union[str, Path]]) -> KnowledgeBase:
     """Load and cross check every .mgl file under the given paths."""
-    files: list[Path] = []
+    # Files open by plain string paths; `_parse_file` makes a `Path` of
+    # one only to word its fault, and `Path(file)` reads as `path / name`.
+    files: list[str] = []
     for entry in paths:
         path = Path(entry)
         if path.is_dir():
-            files += [path / name for name in sorted(os.listdir(path)) if name.endswith(".mgl")]
+            names = sorted(name for name in os.listdir(path) if name.endswith(".mgl"))
+            files += [os.path.join(path, name) for name in names]
         elif path.is_file():
-            files.append(path)
+            files.append(str(path))
         else:
             raise ParseError(f"no such rules file or directory: {path}")
     kb = KnowledgeBase()
-    for path in files:
-        kb.add_license(_parse_file(path))
+    for file in files:
+        kb.add_license(_parse_file(file))
     for profile in kb.licenses.values():
         for ref in sorted(profile.compatible_with):
             if ref not in kb.licenses:

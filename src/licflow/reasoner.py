@@ -105,22 +105,23 @@ _IDENTITY_KINDS = {ActionKind.COPY, ActionKind.PUBLISH}
 _COPY, _COMBINE, _PRIMARY = ActionKind.COPY, ActionKind.COMBINE, InputRole.PRIMARY
 _DECLARED, _DERIVED = Origin.USER_DECLARED, Origin.DERIVED
 
+# Each action's usages in value order, the order its requests are made in.
 _KIND_USAGES = {
     ActionKind.COPY: (Usage.USE,),
     ActionKind.COMBINE: (Usage.USE,),
     ActionKind.GENERATE: (Usage.USE,),
     ActionKind.DISTILL: (Usage.USE,),
     ActionKind.EMBED: (Usage.USE,),
-    ActionKind.MODIFY: (Usage.USE, Usage.MODIFY),
-    ActionKind.AMALGAMATE: (Usage.USE, Usage.MODIFY),
-    ActionKind.TRAIN: (Usage.USE, Usage.MODIFY),
+    ActionKind.MODIFY: (Usage.MODIFY, Usage.USE),
+    ActionKind.AMALGAMATE: (Usage.MODIFY, Usage.USE),
+    ActionKind.TRAIN: (Usage.MODIFY, Usage.USE),
     ActionKind.REGISTER_LICENSE: (),
 }
 
 _MANNER_USAGES = {
     PublishManner.INTERNAL: (Usage.USE,),
-    PublishManner.SHARE: (Usage.USE, Usage.REDISTRIBUTE),
-    PublishManner.SELL: (Usage.USE, Usage.REDISTRIBUTE, Usage.COMMERCIAL, Usage.SUBLICENSE),
+    PublishManner.SHARE: (Usage.REDISTRIBUTE, Usage.USE),
+    PublishManner.SELL: (Usage.COMMERCIAL, Usage.REDISTRIBUTE, Usage.SUBLICENSE, Usage.USE),
 }
 
 
@@ -149,6 +150,7 @@ def _edge_kind(kind: ActionKind, role: InputRole, copublished: bool) -> EdgeKind
 
 # The edge kind of each (action kind, input role, co-published) input.
 _EDGE_KIND = {key: _edge_kind(*key) for key in product(ActionKind, InputRole, (False, True))}
+_EDGE_KIND_VALUE = {kind: kind.value for kind in EdgeKind}
 
 
 def derive_compositional(graph: WorkflowGraph) -> WorkflowGraph:
@@ -158,7 +160,7 @@ def derive_compositional(graph: WorkflowGraph) -> WorkflowGraph:
         for a in graph.actions.values()
         for i in a.inputs
     }
-    graph.edges = sorted(edges, key=lambda e: (e.kind.value, e.source, e.target))
+    graph.edges = sorted(edges, key=lambda e: (_EDGE_KIND_VALUE[e.kind], e.source, e.target))
     return graph
 
 
@@ -408,7 +410,7 @@ def derive_requests(graph: WorkflowGraph, kb: KnowledgeBase) -> WorkflowGraph:
     # Requests made here are distinct: each names its action and source.
     requests: list[RequestRecord] = []
     for action in toposort_actions(graph):
-        usages = sorted(action_usages(action), key=lambda u: u.value)
+        usages = action_usages(action)
         # The usages asked of a target, by whether it waives sublicensing.
         asked = (usages, [u for u in usages if u is not sublicense])
         for source in dict.fromkeys(inp.work for inp in action.inputs):

@@ -14,6 +14,7 @@ import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -405,6 +406,35 @@ def test_a_verdict_reads_no_enum_member_per_record(tmp_path, monkeypatch, capsys
                 counts.append(_member_lookups(path, output, monkeypatch))
                 assert capsys.readouterr().err == ""
             assert 0 < counts[0] == counts[1], output
+
+
+def _name_and_value_reads(path: Path, output: str, monkeypatch) -> int:
+    """Enum members' `name` and `value` read during one `licflow analyze` of the file."""
+    descriptor = type(vars(Enum)["name"])  # `types.DynamicClassAttribute` on 3.10
+    read, found = descriptor.__get__, []
+
+    def counting(self, instance, owner=None):
+        if instance is not None:
+            found.append(self)
+        return read(self, instance, owner)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(descriptor, "__get__", counting)
+        main(["analyze", str(path), "--output", output])
+    return len(found)
+
+
+def test_a_verdict_reads_no_enum_name_or_value_per_record(tmp_path, monkeypatch, capsys):
+    # Each is a Python-level property call: report lines take their heads,
+    # edges their sort keys and actions their usages from tables instead.
+    for output in ("human", "structured"):
+        counts = []
+        for rungs in (4, 8):
+            path = tmp_path / f"ladder-{rungs}.mgw"
+            path.write_text(serialize_graph(diamond_ladder(rungs)), encoding="utf-8")
+            counts.append(_name_and_value_reads(path, output, monkeypatch))
+            assert capsys.readouterr().err == ""
+        assert counts[0] == counts[1], output
 
 
 def test_one_verdict_reads_each_works_relicensing_terms_once(

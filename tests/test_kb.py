@@ -18,8 +18,10 @@ from licflow import (
     UnknownLicense,
     Usage,
     WorkForm,
+    bundled_rules_dir,
     load_kb,
 )
+from licflow import kb as kb_module
 from licflow.kb import (
     _PROFILE_KEYS,
     _RULE_KEYS,
@@ -322,6 +324,42 @@ def test_a_file_may_start_with_a_byte_order_mark(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf" + (MINIMAL_PROFILE + RULE_BLOCK).encode())
     plain = _load_single(tmp_path, MINIMAL_PROFILE + RULE_BLOCK)
     assert load_kb([path]) == plain
+
+
+def _fault_reads(monkeypatch, paths: list[Path]) -> int:
+    """Files that `load_kb` reads again, line by line, to word a fault."""
+    sections, calls = kb_module._sections, []
+
+    def counting(path, text):
+        calls.append(path)
+        return sections(path, text)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kb_module, "_sections", counting)
+        try:
+            load_kb(paths)
+        except ParseError:
+            pass
+    return len(calls)
+
+
+def test_sound_rules_files_are_read_once(tmp_path, monkeypatch):
+    # A reader that declined a sound file would load it right, only slower.
+    assert _fault_reads(monkeypatch, [bundled_rules_dir()]) == 0
+    rewritten, duplicated = tmp_path / "rewritten", tmp_path / "duplicated"
+    rewritten.mkdir()
+    duplicated.mkdir()
+    for path in sorted(bundled_rules_dir().glob("*.mgl")):
+        text = path.read_text(encoding="utf-8")
+        (rewritten / path.name).write_bytes(("\ufeff" + text.replace("\n", "\r\n")).encode())
+        if path.name == "mit.mgl":
+            text = text.replace("copyleft = false\n", "copyleft = false\n" * 2)
+        (duplicated / path.name).write_text(text, encoding="utf-8")
+    assert _fault_reads(monkeypatch, [rewritten]) == 0
+    assert load_kb([rewritten]) == load_kb([bundled_rules_dir()])
+    assert _fault_reads(monkeypatch, [duplicated]) >= 1
+    with pytest.raises(ParseError, match=re.escape(f"{duplicated / 'mit.mgl'}:9: duplicate key")):
+        load_kb([duplicated])
 
 
 def test_missing_path_is_rejected():

@@ -567,3 +567,27 @@ def test_the_rules_reader_agrees_with_the_oracle_on_mutated_bundled_files(tmp_pa
     )
     # Both outcomes must be exercised, or the comparison proves little.
     assert 50 < loaded < 220, loaded
+
+
+_OTHER_HEADER = {"[profile]": "[rule]", "[rule]": "[profile]"}
+
+
+def _line_edits(lines: list[str]):
+    """Each line deleted, doubled and moved to the end; each header made the other kind."""
+    for at, line in enumerate(lines):
+        rest = lines[:at] + lines[at + 1:]
+        yield from (rest, lines[:at + 1] + lines[at:], rest + [line])
+        if line in _OTHER_HEADER:
+            yield lines[:at] + [_OTHER_HEADER[line]] + lines[at + 1:]
+
+
+def test_every_single_line_edit_of_a_bundled_file_reads_like_the_oracle(tmp_path):
+    # One edit at each line walks the reader's decline boundary for every
+    # key and section kind: a key left out, stated twice or in the wrong
+    # section, and a section of the wrong kind.
+    outcomes = [
+        _reads_like_the_oracle(tmp_path / "edited.mgl", "\n".join(edited))
+        for text in _BUNDLED_RULES
+        for edited in _line_edits(text.split("\n"))
+    ]
+    assert 0 < sum(outcomes) < len(outcomes), (sum(outcomes), len(outcomes))
