@@ -125,7 +125,7 @@ class _Entry:
         self.many = kind is set or isinstance(kind, InputRole)
         # The member each value of an enum reads as.
         self.members = {m.value: m for m in kind} if isinstance(kind, EnumMeta) else None
-        # The class of the objects `_value` accepts, and how it reads one: None
+        # The class of the objects `read` takes, and how it reads one: None
         # for an unknown enum value, whose fault `_value` reports.
         self.type = Ident if kind is Ident or self.many else str
         plain = attrgetter("local") if self.type is Ident else str
@@ -441,20 +441,14 @@ def parse_document(text: str) -> Document:
 
 
 def _value(entry: _Entry, obj: Object, subject: str) -> object:
-    """One object of a statement, read as the kind of value its entry holds."""
-    kind = entry.kind
-    if kind is Ident or entry.many:
+    """An identifier's local name, or the fault of an object `entry.read` refused."""
+    if entry.kind is Ident or entry.many:
         if not isinstance(obj, Ident):
             raise SemanticError(f"{entry.what} of '{subject}' must be an identifier")
         return obj.local
     if not isinstance(obj, str):
         raise SemanticError(f"{entry.what} of '{subject}' must be a string")
-    if kind is str:
-        return obj
-    member = entry.members.get(obj)
-    if member is None:
-        raise SemanticError(f"{entry.what} of '{subject}' has unknown value {obj!r}")
-    return member
+    raise SemanticError(f"{entry.what} of '{subject}' has unknown value {obj!r}")
 
 
 def _read(subject: str, rows: list[tuple[str, str, Object]], node: _Node) -> dict:

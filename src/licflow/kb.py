@@ -2,7 +2,9 @@
 
 A knowledge base is loaded from one or more ``.mgl`` files. Each file
 declares a single license profile followed by the rules encoded from the
-license text. Each token is the value of the enum it becomes.
+license text. Each token is the value of the enum it becomes. A file is
+read once, and only its first fault is reported: a line fault, in line
+order, then a misplaced section, then each section's own fault in turn.
 """
 
 from __future__ import annotations
@@ -301,34 +303,6 @@ def _read(schema: _Schema, entries: dict[str, str]) -> dict[str, object]:
     return values
 
 
-def _sections(path: Path, text: str) -> list[tuple[str, dict[str, str]]]:
-    """Splits an .mgl file into (section name, key/value map) pairs."""
-    sections: list[tuple[str, dict[str, str]]] = []
-    current: Optional[dict[str, str]] = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line[0] == "#":
-            continue
-        if line[0] == "[" and line[-1] == "]":
-            name = line[1:-1].strip()
-            if name != "profile" and name != "rule":
-                raise ParseError(f"{path}:{lineno}: unknown section [{name}]")
-            current = {}
-            sections.append((name, current))
-            continue
-        if current is None:
-            raise ParseError(f"{path}:{lineno}: entry outside any section")
-        # The line is stripped, so only the blanks around `=` are left.
-        key, equals, value = line.partition("=")
-        if not equals:
-            raise ParseError(f"{path}:{lineno}: expected key = value")
-        key = key.rstrip()
-        if key in current:
-            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
-        current[key] = value.lstrip()
-    return sections
-
-
 def _build_profile(values: dict[str, object], metadata: dict[str, str]) -> LicenseProfile:
     profile = LicenseProfile(**values, metadata=metadata)
 
@@ -366,89 +340,95 @@ def _build_rule(values: dict[str, object], license_id: str) -> Rule:
     return rule
 
 
-def _read_profile(text: str) -> Optional[LicenseProfile]:
-    """The file's profile and rules, each value converted as its line is read.
+def _parse_file(file: str) -> LicenseProfile:
+    """The file's profile and its rules, read in one pass over its lines.
 
-    None at the first line, value or section that `_parse_sections`
-    would refuse; it then reads the file again to word the fault.
+    Each value is converted as its line is read, and each section is built
+    once its last line is. A line fault is raised where it is met; a
+    misplaced section, then the first faulty section, once every line is.
+    A faulty section's lines are split again, for `_read` to word its fault.
     """
+    try:
+        with open(file, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {Path(file)}: {exc}") from exc
+    lines = text.splitlines() + ["[rule]"]  # a header builds the last section
     profile: Optional[LicenseProfile] = None
     values: Optional[dict[str, object]] = None  # the open section's fields
-    metadata: dict[str, str] = {}
-    keys = _PROFILE_SCHEMA[0]
-    try:
-        # The end of the text builds the last section, as a header does.
-        for line in text.splitlines() + ["[rule]"]:
-            line = line.strip()
-            if not line or line[0] == "#":
-                continue
-            if line[0] == "[" and line[-1] == "]":
-                # A missing key fails the section's dataclass `__init__`.
-                if profile is not None:
-                    profile.rules.append(_build_rule(values, profile.id))
-                elif values is not None:
-                    profile, keys = _build_profile(values, metadata), _RULE_SCHEMA[0]
-                if line[1:-1].strip() != ("profile" if profile is None else "rule"):
-                    return None
-                values = {}
-                continue
-            key, equals, raw = line.partition("=")
-            key = key.rstrip()
-            if values is None or not equals or key in values:
-                return None
-            if key in keys:
-                _, tokens, many = keys[key]
-                raw = raw.lstrip()
+    misplaced: Optional[str] = None  # the first file-level fault
+    fault: Optional[str] = None  # the first section fault, with its place
+    keys = _PROFILE_SCHEMA[0]  # the profile's keys, and the rules' once it is built
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        if line[0] == "[" and line[-1] == "]":
+            name = line[1:-1].strip()
+            # The first section is the profile, and every other one a rule.
+            if name != ("profile" if values is None else "rule"):
+                if name != "profile" and name != "rule":
+                    raise ParseError(f"{Path(file)}:{lineno}: unknown section [{name}]")
+                misplaced = misplaced or (
+                    "only one [profile] section per file" if name == "profile"
+                    else "file must start with a [profile] section")
+            if values is not None and fault is None and misplaced is None:
+                try:
+                    try:  # a required key left out fails the record's `__init__`
+                        section = (_build_profile(values, metadata) if profile is None
+                                   else _build_rule(values, profile.id)) if sound else None
+                    except TypeError:
+                        section = None
+                    if section is None:  # `_read` words the fault of its lines
+                        build, owner, schema = (
+                            (_build_profile, metadata, _PROFILE_SCHEMA) if profile is None
+                            else (_build_rule, profile.id, _RULE_SCHEMA))
+                        entries = {}
+                        for entry in map(str.strip, lines[start:lineno - 1]):
+                            key, _, raw = entry.partition("=")
+                            if entry and entry[0] != "#" and (
+                                    profile is not None or key[:5] != "meta."):
+                                entries[key.rstrip()] = raw.lstrip()
+                        section = build(_read(schema, entries), owner)
+                    if profile is None:
+                        profile, keys = section, _RULE_SCHEMA[0]
+                    else:
+                        profile.rules.append(section)
+                except _SectionFault as err:
+                    rule_id = values.get("id", "<missing id>")
+                    where = "profile" if profile is None else f"rule {rule_id}"
+                    fault = f"{Path(file)} [{where}]{err}"
+            start, values, sound, metadata = lineno, {}, True, {}
+            continue
+        # The line is stripped, so only the blanks around `=` are left.
+        key, equals, raw = line.partition("=")
+        key, raw = key.rstrip(), raw.lstrip()
+        if values is None or not equals or key in values:
+            what = ("entry outside any section" if values is None
+                    else "expected key = value" if not equals else f"duplicate key {key!r}")
+            raise ParseError(f"{Path(file)}:{lineno}: {what}")
+        if key in keys:
+            _, tokens, many = keys[key]
+            try:
                 if many:
                     items = filter(None, map(str.strip, raw.split(",")))
                     values[key] = set(map(tokens.__getitem__, items) if tokens else items)
                 else:
                     values[key] = raw if tokens is None else tokens[raw]
-            elif profile is None and key.startswith("meta.") and key[5:] not in metadata:
-                metadata[key[5:]] = raw.lstrip()
-            else:
-                return None
-        return profile
-    except (KeyError, TypeError, _SectionFault):
-        return None
-
-
-def _parse_sections(path: Path) -> LicenseProfile:
-    """The file read section by section, raising its first fault in its own words."""
-    try:
-        with open(path, "rb", buffering=0) as handle:
-            text = handle.read().decode("utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    sections = _sections(path, text)
-    if not sections or sections[0][0] != "profile":
-        raise ParseError(f"{path}: file must start with a [profile] section")
-    if any(name == "profile" for name, _ in sections[1:]):
-        raise ParseError(f"{path}: only one [profile] section per file")
-    entries = sections[0][1]
-    metadata = {k[5:]: v for k, v in entries.items() if k.startswith("meta.")}
-    stated = {k: v for k, v in entries.items() if not k.startswith("meta.")}
-    try:
-        profile = _build_profile(_read(_PROFILE_SCHEMA, stated), metadata)
-    except _SectionFault as fault:
-        raise ParseError(f"{path} [profile]{fault}") from None
-    for _, entries in sections[1:]:
-        try:
-            profile.rules.append(_build_rule(_read(_RULE_SCHEMA, entries), profile.id))
-        except _SectionFault as fault:
-            rule_id = entries.get("id", "<missing id>")
-            raise ParseError(f"{path} [rule {rule_id}]{fault}") from None
+                continue
+            except KeyError:
+                pass
+        elif profile is None and key[:5] == "meta.":
+            if key[5:] in metadata:
+                raise ParseError(f"{Path(file)}:{lineno}: duplicate key {key!r}")
+            metadata[key[5:]] = raw
+            continue
+        values[key], sound = raw, False  # for `_read` to word
+    if misplaced is not None:
+        raise ParseError(f"{Path(file)}: {misplaced}")
+    if fault is not None:
+        raise ParseError(fault)
     return profile
-
-
-def _parse_file(file: str) -> LicenseProfile:
-    try:
-        with open(file, "rb", buffering=0) as handle:
-            text = handle.read().decode("utf-8-sig")
-    except (OSError, UnicodeDecodeError):
-        text = ""  # read again by `_parse_sections`, which words the fault
-    profile = _read_profile(text)
-    return _parse_sections(Path(file)) if profile is None else profile
 
 
 def load_kb(paths: Sequence[Union[str, Path]]) -> KnowledgeBase:

@@ -157,6 +157,20 @@ def test_analyze_exits_clean_on_a_clean_workflow(tmp_path, capsys):
     assert "no findings" in out
 
 
+def test_a_workflow_without_a_publish_action_has_nothing_to_analyze(tmp_path, capsys):
+    path = tmp_path / "unpublished.mgw"
+    path.write_text(CLEAN_WORKFLOW.split("\nmg:P ")[0], encoding="utf-8")
+    printed = {}
+    for mode in ("human", "structured", "dot"):
+        assert main(["analyze", str(path), "--output", mode]) == ExitClass.CLEAN.value
+        printed[mode] = capsys.readouterr().out
+    assert printed["human"] == f"{DISCLAIMER}\nno published works to analyze\n"
+    assert printed["structured"] == ""
+    assert printed["dot"] == (
+        'digraph workflow {\n  "M" [label="Clean Model\\nmodel/weights\\nMG0"];\n}\n'
+    )
+
+
 def test_human_output_carries_the_disclaimer_exactly_once(setting_paths, capsys):
     main(["analyze", str(setting_paths["i"])])
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -326,40 +327,56 @@ def test_a_file_may_start_with_a_byte_order_mark(tmp_path):
     assert load_kb([path]) == plain
 
 
-def _fault_reads(monkeypatch, paths: list[Path]) -> int:
-    """Files that `load_kb` reads again, line by line, to word a fault."""
-    sections, calls = kb_module._sections, []
+def _reads(monkeypatch, paths: list[Path]) -> tuple[Counter, int]:
+    """How often `load_kb` opens each file, and how often it calls `_read`."""
+    opened, reads, read = Counter(), [], kb_module._read
 
-    def counting(path, text):
-        calls.append(path)
-        return sections(path, text)
+    def counting_open(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return open(file, *args, **kwargs)
+
+    def counting_read(*args):
+        reads.append(args)
+        return read(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(kb_module, "_sections", counting)
+        patch.setattr(kb_module, "open", counting_open, raising=False)
+        patch.setattr(kb_module, "_read", counting_read)
         try:
             load_kb(paths)
         except ParseError:
             pass
-    return len(calls)
+    return opened, len(reads)
 
 
-def test_sound_rules_files_are_read_once(tmp_path, monkeypatch):
-    # A reader that declined a sound file would load it right, only slower.
-    assert _fault_reads(monkeypatch, [bundled_rules_dir()]) == 0
-    rewritten, duplicated = tmp_path / "rewritten", tmp_path / "duplicated"
-    rewritten.mkdir()
-    duplicated.mkdir()
+def test_each_rules_file_is_opened_once_and_a_sound_one_is_never_reread(
+    tmp_path, monkeypatch
+):
+    # `_read` words a section's fault; a reader that called it on a sound
+    # file would load it right, only slower.
+    rewritten, doubled, bad = tmp_path / "rewritten", tmp_path / "doubled", tmp_path / "bad"
+    edits = {doubled: "copyleft = false\n" * 2, bad: "copyleft = maybe\n"}
+    for copy in (rewritten, *edits):
+        copy.mkdir()
     for path in sorted(bundled_rules_dir().glob("*.mgl")):
         text = path.read_text(encoding="utf-8")
         (rewritten / path.name).write_bytes(("\ufeff" + text.replace("\n", "\r\n")).encode())
-        if path.name == "mit.mgl":
-            text = text.replace("copyleft = false\n", "copyleft = false\n" * 2)
-        (duplicated / path.name).write_text(text, encoding="utf-8")
-    assert _fault_reads(monkeypatch, [rewritten]) == 0
+        for copy, edit in edits.items():
+            edited = text.replace("copyleft = false\n", edit) if path.name == "mit.mgl" else text
+            (copy / path.name).write_text(edited, encoding="utf-8")
+    for copy in (bundled_rules_dir(), rewritten):
+        opened, reads = _reads(monkeypatch, [copy])
+        assert opened == Counter(str(path) for path in copy.glob("*.mgl")) and reads == 0
     assert load_kb([rewritten]) == load_kb([bundled_rules_dir()])
-    assert _fault_reads(monkeypatch, [duplicated]) >= 1
-    with pytest.raises(ParseError, match=re.escape(f"{duplicated / 'mit.mgl'}:9: duplicate key")):
-        load_kb([duplicated])
+    # Loading stops at the first faulty file, which is opened once as well.
+    for copy in (doubled, bad):
+        opened, reads = _reads(monkeypatch, [copy])
+        assert set(opened.values()) == {1} and str(copy / "mit.mgl") in opened
+        assert reads == (1 if copy == bad else 0)
+    with pytest.raises(ParseError, match=re.escape(f"{doubled / 'mit.mgl'}:9: duplicate key")):
+        load_kb([doubled])
+    with pytest.raises(ParseError, match=re.escape(f"{bad / 'mit.mgl'} [profile] copyleft:")):
+        load_kb([bad])
 
 
 def test_missing_path_is_rejected():
@@ -377,6 +394,13 @@ def test_duplicate_license_across_files_is_rejected(tmp_path):
 def test_duplicate_rule_id_is_rejected(tmp_path):
     with pytest.raises(ParseError):
         _load_single(tmp_path, MINIMAL_PROFILE + RULE_BLOCK + RULE_BLOCK)
+
+
+def test_a_rule_of_another_license_is_a_dangling_reference():
+    stray = rule("Other-1-rule", "Other-1", [ActionKind.MODIFY])
+    message = "rule 'Other-1-rule' belongs to 'Other-1', not 'Test-1'"
+    with pytest.raises(DanglingReference, match=re.escape(message)):
+        kb_of(profile("Test-1", rules=[stray]))
 
 
 def test_dangling_compatibility_reference_is_rejected(tmp_path):

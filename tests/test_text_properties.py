@@ -13,12 +13,14 @@ fault for fault.
 from __future__ import annotations
 
 import io
+import itertools
 import random
 from bisect import bisect_right
 from string import ascii_letters, digits
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -591,3 +593,55 @@ def test_every_single_line_edit_of_a_bundled_file_reads_like_the_oracle(tmp_path
         for edited in _line_edits(text.split("\n"))
     ]
     assert 0 < sum(outcomes) < len(outcomes), (sum(outcomes), len(outcomes))
+
+
+def _key(line: str) -> str:
+    """The key of an entry line, or an empty string."""
+    return line.partition("=")[0].strip() if "=" in line else ""
+
+
+# Keys that take free text, not tokens, and "" for a line that is no entry.
+_FREE_TEXT_KEYS = {"", "id", "name", "compatible_with"}
+_REQUIRED_KEYS = {
+    "id", "name", "framework", "intended_types", "trigger_actions",
+    "trigger_input_forms", "trigger_output_forms", "output_def", "relicense",
+}
+
+# Each fault: the lines it may be put at, and what it puts in the line's place.
+_FAULTS = {
+    "bad token": (
+        lambda line: _key(line) not in _FREE_TEXT_KEYS and not _key(line).startswith("meta."),
+        lambda line: [f"{_key(line)} = bogus"],
+    ),
+    "unknown key": (lambda line: True, lambda line: [line, "colour = blue"]),
+    "dropped required key": (lambda line: _key(line) in _REQUIRED_KEYS, lambda line: []),
+    "doubled line": (lambda line: _key(line) != "", lambda line: [line, line]),
+    "stray [profile]": (lambda line: True, lambda line: [line, "[profile]"]),
+    "line without =": (lambda line: True, lambda line: [line, "no equals sign"]),
+}
+
+
+def test_two_faults_in_a_bundled_file_read_like_the_oracle(tmp_path):
+    # Which of two faults is reported is decided after the whole file is
+    # read: a line fault, then a misplaced section, then each section's.
+    rng = random.Random(26)
+    path, faults = tmp_path / "two-faults.mgl", set()
+    for text in _BUNDLED_RULES:
+        lines = text.split("\n")
+        for first, second in itertools.product(_FAULTS.values(), repeat=2):
+            at = rng.choice([i for i, line in enumerate(lines) if first[0](line)])
+            others = [i for i, line in enumerate(lines) if second[0](line) and i != at]
+            # The later line is edited first, so the earlier one keeps its index.
+            edits = sorted([(at, first[1]), (rng.choice(others), second[1])], reverse=True)
+            edited = list(lines)
+            for where, put in edits:
+                edited[where:where + 1] = put(edited[where])
+            assert not _reads_like_the_oracle(path, "\n".join(edited))
+            with pytest.raises(KBError) as err:
+                load_kb([path])
+            faults.add(str(err.value).rsplit(": ", 1)[1].split(" '")[0])
+    assert faults == {
+        "duplicate key", "entry outside any section", "expected key = value",
+        "expected true or false, got", "missing key", "only one [profile] section per file",
+        "unknown key", "unknown token",
+    }
