@@ -3,8 +3,9 @@
 A knowledge base is loaded from one or more ``.mgl`` files. Each file
 declares a single license profile followed by the rules encoded from the
 license text. Each token is the value of the enum it becomes. A file is
-read once, and only its first fault is reported: a line fault, in line
-order, then a misplaced section, then each section's own fault in turn.
+read in one loop, and its sections are built once the loop is done. Only
+its first fault is reported: a line fault, in line order, then a misplaced
+section, then each section's own fault in turn.
 """
 
 from __future__ import annotations
@@ -273,34 +274,22 @@ class _SectionFault(Exception):
     """A fault in one section; the caller names the file and section."""
 
 
-def _read(schema: _Schema, entries: dict[str, str]) -> dict[str, object]:
-    """The fields a section fills; a key left out keeps its field's default.
+def _fault(schema: _Schema, values: dict[str, object], bad: dict[str, Optional[str]]) -> str:
+    """A faulty section's first fault, worded from what `_parse_file` read.
 
-    Faults are reported in this order: an unknown key, a missing key,
-    then each value in field order.
+    An unknown key comes first, in line order, then a missing key, then
+    the first value that did not convert, each in field order.
     """
     keys, required = schema
-    if not entries.keys() <= keys.keys():
-        unknown = next(key for key in entries if key not in keys)
-        raise _SectionFault(f": unknown key {unknown!r}")
-    if not entries.keys() >= required:
-        missing = next(k for k in keys if k in required and k not in entries)
-        raise _SectionFault(f": missing key {missing!r}")
-    values: dict[str, object] = {}
-    for key, (kind, tokens, many) in keys.items():
-        raw = entries.get(key)
-        if raw is None:
-            continue
-        try:
-            if many:
-                items = [item for item in map(str.strip, raw.split(",")) if item]
-                values[key] = {tokens[i] for i in items} if tokens else set(items)
-            else:
-                values[key] = raw if tokens is None else tokens[raw]
-        except KeyError as err:
-            fault = "expected true or false, got" if kind is bool else "unknown token"
-            raise _SectionFault(f" {key}: {fault} {err.args[0]!r}") from None
-    return values
+    unknown = next((key for key, token in bad.items() if token is None), None)
+    if unknown is not None:
+        return f": unknown key {unknown!r}"
+    missing = next((k for k in keys if k in required and k not in values), None)
+    if missing is not None:
+        return f": missing key {missing!r}"
+    key = next(key for key in keys if key in bad)
+    fault = "expected true or false, got" if keys[key][0] is bool else "unknown token"
+    return f" {key}: {fault} {bad[key]!r}"
 
 
 def _build_profile(values: dict[str, object], metadata: dict[str, str]) -> LicenseProfile:
@@ -341,70 +330,40 @@ def _build_rule(values: dict[str, object], license_id: str) -> Rule:
 
 
 def _parse_file(file: str) -> LicenseProfile:
-    """The file's profile and its rules, read in one pass over its lines.
+    """The file's profile and its rules: one loop reads, then one step builds.
 
-    Each value is converted as its line is read, and each section is built
-    once its last line is. A line fault is raised where it is met; a
-    misplaced section, then the first faulty section, once every line is.
-    A faulty section's lines are split again, for `_read` to word its fault.
+    The loop converts each value as its line is read and raises each line
+    fault where it meets it. Then a misplaced section is raised, or each
+    section is built in file order and the first faulty one worded by `_fault`.
     """
     try:
         with open(file, "rb", buffering=0) as handle:
             text = handle.read().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {Path(file)}: {exc}") from exc
-    lines = text.splitlines() + ["[rule]"]  # a header builds the last section
-    profile: Optional[LicenseProfile] = None
-    values: Optional[dict[str, object]] = None  # the open section's fields
-    misplaced: Optional[str] = None  # the first file-level fault
-    fault: Optional[str] = None  # the first section fault, with its place
-    keys = _PROFILE_SCHEMA[0]  # the profile's keys, and the rules' once it is built
-    for lineno, line in enumerate(lines, start=1):
+    sections: list[tuple[dict[str, object], dict[str, Optional[str]]]] = []
+    metadata: dict[str, str] = {}  # the first section's `meta.*` entries
+    misplaced: Optional[str] = "file must start with a [profile] section"
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line[0] == "#":
             continue
         if line[0] == "[" and line[-1] == "]":
             name = line[1:-1].strip()
-            # The first section is the profile, and every other one a rule.
-            if name != ("profile" if values is None else "rule"):
-                if name != "profile" and name != "rule":
-                    raise ParseError(f"{Path(file)}:{lineno}: unknown section [{name}]")
-                misplaced = misplaced or (
-                    "only one [profile] section per file" if name == "profile"
-                    else "file must start with a [profile] section")
-            if values is not None and fault is None and misplaced is None:
-                try:
-                    try:  # a required key left out fails the record's `__init__`
-                        section = (_build_profile(values, metadata) if profile is None
-                                   else _build_rule(values, profile.id)) if sound else None
-                    except TypeError:
-                        section = None
-                    if section is None:  # `_read` words the fault of its lines
-                        build, owner, schema = (
-                            (_build_profile, metadata, _PROFILE_SCHEMA) if profile is None
-                            else (_build_rule, profile.id, _RULE_SCHEMA))
-                        entries = {}
-                        for entry in map(str.strip, lines[start:lineno - 1]):
-                            key, _, raw = entry.partition("=")
-                            if entry and entry[0] != "#" and (
-                                    profile is not None or key[:5] != "meta."):
-                                entries[key.rstrip()] = raw.lstrip()
-                        section = build(_read(schema, entries), owner)
-                    if profile is None:
-                        profile, keys = section, _RULE_SCHEMA[0]
-                    else:
-                        profile.rules.append(section)
-                except _SectionFault as err:
-                    rule_id = values.get("id", "<missing id>")
-                    where = "profile" if profile is None else f"rule {rule_id}"
-                    fault = f"{Path(file)} [{where}]{err}"
-            start, values, sound, metadata = lineno, {}, True, {}
+            if name == "profile":  # a leading one clears the starting fault
+                misplaced = ((misplaced or "only one [profile] section per file")
+                             if sections else None)
+            elif name != "rule":
+                raise ParseError(f"{Path(file)}:{lineno}: unknown section [{name}]")
+            keys = _RULE_SCHEMA[0] if sections else _PROFILE_SCHEMA[0]
+            values, bad = {}, {}  # bad: per key, its first unconverted token, or None
+            sections.append((values, bad))
             continue
         # The line is stripped, so only the blanks around `=` are left.
         key, equals, raw = line.partition("=")
         key, raw = key.rstrip(), raw.lstrip()
-        if values is None or not equals or key in values:
-            what = ("entry outside any section" if values is None
+        if not sections or not equals or key in values:
+            what = ("entry outside any section" if not sections
                     else "expected key = value" if not equals else f"duplicate key {key!r}")
             raise ParseError(f"{Path(file)}:{lineno}: {what}")
         if key in keys:
@@ -416,18 +375,36 @@ def _parse_file(file: str) -> LicenseProfile:
                 else:
                     values[key] = raw if tokens is None else tokens[raw]
                 continue
-            except KeyError:
-                pass
-        elif profile is None and key[:5] == "meta.":
-            if key[5:] in metadata:
-                raise ParseError(f"{Path(file)}:{lineno}: duplicate key {key!r}")
+            except KeyError as err:
+                bad[key] = err.args[0]
+        elif len(sections) > 1 or key[:5] != "meta.":
+            bad[key] = None
+        elif key[5:] in metadata:
+            raise ParseError(f"{Path(file)}:{lineno}: duplicate key {key!r}")
+        else:
             metadata[key[5:]] = raw
             continue
-        values[key], sound = raw, False  # for `_read` to word
+        values[key] = raw  # so that a second line of the key is a duplicate
     if misplaced is not None:
         raise ParseError(f"{Path(file)}: {misplaced}")
-    if fault is not None:
-        raise ParseError(fault)
+    profile: Optional[LicenseProfile] = None
+    for values, bad in sections:
+        build, owner, schema = ((_build_profile, metadata, _PROFILE_SCHEMA) if profile is None
+                                else (_build_rule, profile.id, _RULE_SCHEMA))
+        try:
+            try:  # a required key left out fails the record's `__init__`
+                section = None if bad else build(values, owner)
+            except TypeError:
+                section = None
+            if section is None:
+                raise _SectionFault(_fault(schema, values, bad))
+        except _SectionFault as err:
+            where = "profile" if profile is None else f"rule {values.get('id', '<missing id>')}"
+            raise ParseError(f"{Path(file)} [{where}]{err}") from None
+        if profile is None:
+            profile = section
+        else:
+            profile.rules.append(section)
     return profile
 
 
@@ -441,7 +418,7 @@ def load_kb(paths: Sequence[Union[str, Path]]) -> KnowledgeBase:
         if path.is_dir():
             names = sorted(name for name in os.listdir(path) if name.endswith(".mgl"))
             files += [os.path.join(path, name) for name in names]
-        elif path.is_file():
+        elif path.exists():
             files.append(str(path))
         else:
             raise ParseError(f"no such rules file or directory: {path}")

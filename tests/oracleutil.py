@@ -227,7 +227,7 @@ def naive_load_kb(paths: list[Path]) -> KnowledgeBase:
     for path in paths:
         if path.is_dir():
             files.extend(sorted(path.glob("*.mgl")))
-        elif path.is_file():
+        elif path.exists():
             files.append(path)
         else:
             raise ParseError(f"no such rules file or directory: {path}")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import re
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -328,32 +330,32 @@ def test_a_file_may_start_with_a_byte_order_mark(tmp_path):
 
 
 def _reads(monkeypatch, paths: list[Path]) -> tuple[Counter, int]:
-    """How often `load_kb` opens each file, and how often it calls `_read`."""
-    opened, reads, read = Counter(), [], kb_module._read
+    """How often `load_kb` opens each file, and how often it calls `_fault`."""
+    opened, faults, fault = Counter(), [], kb_module._fault
 
     def counting_open(file, *args, **kwargs):
         opened[str(file)] += 1
         return open(file, *args, **kwargs)
 
-    def counting_read(*args):
-        reads.append(args)
-        return read(*args)
+    def counting_fault(*args):
+        faults.append(args)
+        return fault(*args)
 
     with monkeypatch.context() as patch:
         patch.setattr(kb_module, "open", counting_open, raising=False)
-        patch.setattr(kb_module, "_read", counting_read)
+        patch.setattr(kb_module, "_fault", counting_fault)
         try:
             load_kb(paths)
         except ParseError:
             pass
-    return opened, len(reads)
+    return opened, len(faults)
 
 
 def test_each_rules_file_is_opened_once_and_a_sound_one_is_never_reread(
     tmp_path, monkeypatch
 ):
-    # `_read` words a section's fault; a reader that called it on a sound
-    # file would load it right, only slower.
+    # `_fault` words a faulty section's fault from what the one loop read;
+    # a sound file never needs it.
     rewritten, doubled, bad = tmp_path / "rewritten", tmp_path / "doubled", tmp_path / "bad"
     edits = {doubled: "copyleft = false\n" * 2, bad: "copyleft = maybe\n"}
     for copy in (rewritten, *edits):
@@ -377,6 +379,23 @@ def test_each_rules_file_is_opened_once_and_a_sound_one_is_never_reread(
         load_kb([doubled])
     with pytest.raises(ParseError, match=re.escape(f"{bad / 'mit.mgl'} [profile] copyleft:")):
         load_kb([bad])
+
+
+def test_a_rules_path_that_is_a_pipe_is_read_as_one_file(tmp_path):
+    # Such as a shell's `<(cat mit.mgl)`: it exists, but is neither a
+    # directory nor a regular file.
+    text = MINIMAL_PROFILE + RULE_BLOCK
+    fifo = tmp_path / "pipe.mgl"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        loaded = load_kb([fifo])
+    finally:  # frees the writer if nothing opened the pipe to read it
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert loaded == _load_single(tmp_path, text)
 
 
 def test_missing_path_is_rejected():

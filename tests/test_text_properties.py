@@ -548,6 +548,11 @@ _RULES_ALPHABET = st.sampled_from(
 )
 
 
+_PROFILE_TEXT, _RULE_TEXT = _VALID_RULES.split("[rule]\n")
+# A profile whose `copyleft` value does not convert, then its rule.
+_MAYBE_RULES = _VALID_RULES.replace("permissive = true", "copyleft = maybe")
+
+
 @BOUNDED
 @given(
     _edited_rules
@@ -556,6 +561,12 @@ _RULES_ALPHABET = st.sampled_from(
         _mutated_rules, st.randoms(use_true_random=False), st.sampled_from(_BUNDLED_RULES)
     )
 )
+@example("")
+@example("# only a comment\n")
+@example("\n\n")
+@example("[rule]\n" + _RULE_TEXT + _PROFILE_TEXT)
+@example(_MAYBE_RULES + "meta.x = 1\nmeta.x = 2\n")
+@example(_MAYBE_RULES.replace("granted = use\n", "granted = use\ncolour = blue\n"))
 def test_the_rules_reader_agrees_with_the_per_line_oracle(tmp_path_factory, text):
     _reads_like_the_oracle(tmp_path_factory.getbasetemp() / "oracle.mgl", text)
 
