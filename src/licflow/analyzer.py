@@ -9,7 +9,6 @@ base, and target.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 from operator import attrgetter
@@ -51,11 +50,11 @@ class ExitClass(Enum):
     ERRORS = 2
 
 
-@dataclass
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     target: str
     reports: list[Report]
     exit_class: ExitClass
+    __hash__ = None  # not hashable, as a mutable record is not
 
 
 _FULL_KINDS = (EdgeKind.MIXWORK, EdgeKind.SUBWORK, EdgeKind.AUXWORK)
@@ -229,9 +228,7 @@ class AnalysisIndex:
         work, producer = self.graph.works[work_id], self.graph.producers.get(work_id)
         profiles, ruled = self.profiles(work_id), self.ruled.get(work_id, ())
         # Public-domain-like licenses fit any work and add no terms of their own.
-        binding = [
-            p for p in profiles if p.framework is not _PUBLIC_DOMAIN_LIKE
-        ]
+        binding = [p for p in profiles if p.framework is not _PUBLIC_DOMAIN_LIKE]
         # E10 for each exclusive-terms ruling whose license the work is not
         # under and for its conflict, E6 for a forbidden registration making it.
         conflicts = [
@@ -241,11 +238,8 @@ class AnalysisIndex:
         ]
         if self.licensing[work_id].conflict:
             conflicts.append(_E10)
-        if (
-            producer is not None
-            and producer.kind is _REGISTER
-            and producer.license_to_register is not None
-        ):
+        if (producer is not None and producer.kind is _REGISTER
+                and producer.license_to_register is not None):
             source, new = producer.inputs[0].work, producer.license_to_register
             admitted = self.licensing[source].admitted
             if (admitted is not None and new not in admitted) or any(
@@ -355,11 +349,7 @@ def analyze_publication(
     if published not in graph.works:
         raise NotPublished(f"unknown work '{published}'")
     publisher = graph.producers.get(published)
-    if (
-        publisher is None
-        or publisher.kind is not _PUBLISH
-        or publisher.publish_manner is None
-    ):
+    if publisher is None or publisher.kind is not _PUBLISH or publisher.publish_manner is None:
         raise NotPublished(f"work '{published}' is not the output of a publish action")
     # Each work of the full closure, settled, and the Mixwork/Subwork closure.
     full = {wid: index.settle(wid) for wid in closure(published, index.full_parents)}
@@ -373,9 +363,5 @@ def analyze_publication(
     reports: list[Report] = []
     for (_, subject, code, content), count in sorted(Counter(findings).items()):
         reports += [Report(code, subject, published, content)] * count
-    return AnalysisResult(
-        target=published,
-        reports=reports,
-        # Sorted reports put the worst first.
-        exit_class=exit_class_of(reports[:1]),
-    )
+    # Sorted reports put the worst first.
+    return AnalysisResult(published, reports, exit_class_of(reports[:1]))

@@ -20,10 +20,9 @@ it reproduces the graph the reasoner originally started from.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import EnumMeta
 from operator import attrgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .kb import OutputDefinition, Usage
 from .model import (
@@ -40,6 +39,7 @@ from .model import (
     WorkflowGraph,
     WorkForm,
     WorkType,
+    _Record,
     add_action,
     add_work,
 )
@@ -72,8 +72,7 @@ class SemanticError(InterchangeError):
     """A well-formed document describing an invalid workflow."""
 
 
-@dataclass(frozen=True)
-class Ident:
+class Ident(NamedTuple):
     """A named node, kept as its local name within the mg namespace."""
 
     local: str
@@ -82,10 +81,11 @@ class Ident:
 Object = Union[Ident, str, bool, int]
 
 
-@dataclass
-class Document:
-    prefixes: dict[str, str] = field(default_factory=dict)
-    statements: list[tuple[str, str, Object]] = field(default_factory=list)
+class Document(_Record):
+    def __init__(self, prefixes: Optional[dict[str, str]] = None,
+                 statements: Optional[list[tuple[str, str, Object]]] = None) -> None:
+        self.prefixes = {} if prefixes is None else prefixes
+        self.statements = [] if statements is None else statements
 
 
 _ACTION_CLASSES = {
@@ -144,15 +144,8 @@ class _Node:
         self.a_noun = f"{'an' if noun[0] in 'aeiou' else 'a'} {noun}"
         self.table = table
         self.entries = {entry.predicate: entry for entry in table}
-        if is_dataclass(cls):
-            self.defaults = {f.name: f.default for f in fields(cls)}
-        else:
-            self.defaults = {**dict.fromkeys(cls._fields, MISSING), **cls._field_defaults}
-        self.required = [
-            entry
-            for entry in table
-            if self.defaults[entry.field] is MISSING and not entry.many
-        ]
+        self.defaults = cls._field_defaults
+        self.required = [e for e in table if e.field not in self.defaults and not e.many]
         # The empty container each field that many statements fill starts as.
         self.containers = {
             entry.field: set if entry.kind is set else list
@@ -540,7 +533,7 @@ def _block(subject: str, class_name: str, node: _Node, record: object) -> str:
     rows = [f"a {PREFIX}:{class_name}"]
     for entry in node.table:
         value = getattr(record, entry.field)
-        if value != node.defaults[entry.field]:
+        if value != node.defaults.get(entry.field):
             terms = _terms(entry, value)
             if terms:
                 rows.append(f"{PREFIX}:{entry.predicate} {', '.join(terms)}")

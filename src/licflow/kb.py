@@ -11,19 +11,11 @@ section, then each section's own fault in turn.
 from __future__ import annotations
 
 import os
-from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import (
-    Optional,
-    Sequence,
-    Union,
-    get_args,
-    get_origin,
-    get_type_hints,
-)
+from typing import NamedTuple, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
-from .model import ActionKind, WorkForm, WorkType
+from .model import ActionKind, WorkForm, WorkType, _Record
 
 
 class KBError(ValueError):
@@ -122,8 +114,9 @@ class Revocability(Enum):
     UNSTATED = "unstated"
 
 
-@dataclass
-class Rule:
+# The annotations name what a loaded record holds. A container left out is
+# empty and immutable, so no two records share a mutable default.
+class Rule(NamedTuple):
     id: str
     license: str
     trigger_actions: set[ActionKind]
@@ -131,14 +124,14 @@ class Rule:
     trigger_output_forms: set[WorkForm]
     output_def: OutputDefinition
     relicense: RelicensePolicy
-    publish_restrictions: set[Restriction] = field(default_factory=set)
-    use_restrictions: set[Restriction] = field(default_factory=set)
+    publish_restrictions: set[Restriction] = frozenset()
+    use_restrictions: set[Restriction] = frozenset()
     allow_sharing: bool = True
     fuzz_only: bool = False
+    __hash__ = None  # not hashable, as a mutable record is not
 
 
-@dataclass
-class LicenseProfile:
+class LicenseProfile(NamedTuple):
     id: str
     name: str
     framework: LicenseFramework
@@ -146,18 +139,20 @@ class LicenseProfile:
     copyleft: bool = False
     permissive: bool = False
     revocable: Revocability = Revocability.UNSTATED
-    granted: set[Usage] = field(default_factory=set)
-    reserved: set[Usage] = field(default_factory=set)
+    granted: set[Usage] = frozenset()
+    reserved: set[Usage] = frozenset()
     sublicense_waived_by_auto_relicense: bool = False
-    compatible_with: set[str] = field(default_factory=set)
-    rules: list[Rule] = field(default_factory=list)
-    metadata: dict[str, str] = field(default_factory=dict)
+    compatible_with: set[str] = frozenset()
+    rules: list[Rule] = ()
+    metadata: dict[str, str] = ()
+    __hash__ = None  # not hashable, as a mutable record is not
 
 
-@dataclass
-class KnowledgeBase:
-    licenses: dict[str, LicenseProfile] = field(default_factory=dict)
-    rules: dict[str, Rule] = field(default_factory=dict)
+class KnowledgeBase(_Record):
+    def __init__(self, licenses: Optional[dict[str, LicenseProfile]] = None,
+                 rules: Optional[dict[str, Rule]] = None) -> None:
+        self.licenses = {} if licenses is None else licenses
+        self.rules = {} if rules is None else rules
 
     def profile(self, license_id: str) -> LicenseProfile:
         try:
@@ -241,27 +236,24 @@ _Schema = tuple[_Keys, frozenset[str]]
 
 
 def _schema(kind: type, *skip: str) -> _Schema:
-    """Each .mgl key of a dataclass's fields, and the keys it requires.
+    """Each .mgl key of a record's fields, and the keys it requires.
 
     A key is read as its field's type, or as comma-separated items of a
     set's item type. It is required when its field has no default.
     """
     hints = get_type_hints(kind)
     keys: _Keys = {}
-    required = set()
-    for f in fields(kind):
-        if f.name in skip:
+    for name in kind._fields:
+        if name in skip:
             continue
-        hint = hints[f.name]
+        hint = hints[name]
         many = get_origin(hint) is set
         item = get_args(hint)[0] if many else hint
         tokens = {"true": True, "false": False} if item is bool else None
         if issubclass(item, Enum):
             tokens = {member.value: member for member in item}
-        keys[f.name] = (item, tokens, many)
-        if f.default is MISSING and f.default_factory is MISSING:
-            required.add(f.name)
-    return keys, frozenset(required)
+        keys[name] = (item, tokens, many)
+    return keys, frozenset(keys.keys() - kind._field_defaults.keys())
 
 
 _PROFILE_SCHEMA = _schema(LicenseProfile, "rules", "metadata")
@@ -293,7 +285,7 @@ def _fault(schema: _Schema, values: dict[str, object], bad: dict[str, Optional[s
 
 
 def _build_profile(values: dict[str, object], metadata: dict[str, str]) -> LicenseProfile:
-    profile = LicenseProfile(**values, metadata=metadata)
+    profile = LicenseProfile(**values, rules=[], metadata=metadata)  # `_parse_file` adds the rules
 
     overlap = profile.granted & profile.reserved
     if overlap:
@@ -392,7 +384,7 @@ def _parse_file(file: str) -> LicenseProfile:
         build, owner, schema = ((_build_profile, metadata, _PROFILE_SCHEMA) if profile is None
                                 else (_build_rule, profile.id, _RULE_SCHEMA))
         try:
-            try:  # a required key left out fails the record's `__init__`
+            try:  # a required key left out fails the record's constructor
                 section = None if bad else build(values, owner)
             except TypeError:
                 section = None

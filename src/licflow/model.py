@@ -9,9 +9,8 @@ to the same graph object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .reports import Report, ReportCode, render
 
@@ -165,14 +164,40 @@ _COMBINE, _TRAIN, _PUBLISH = ActionKind.COMBINE, ActionKind.TRAIN, ActionKind.PU
 _REGISTER = ActionKind.REGISTER_LICENSE
 
 
-@dataclass
-class Work:
-    id: str
-    name: str
-    work_type: WorkType
-    form: WorkForm
-    license: Optional[str] = None
-    origin: Origin = Origin.USER_DECLARED
+class _Record:
+    """Field equality and repr for the mutable records, as a dataclass has them.
+
+    Each subclass's `__init__` takes its fields, so `_fields` and
+    `_field_defaults` are read off it, as a named tuple has them.
+    """
+
+    _fields: tuple[str, ...]
+    _field_defaults: dict[str, object]
+
+    def __init_subclass__(cls) -> None:
+        code, defaults = cls.__init__.__code__, cls.__init__.__defaults__ or ()
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._field_defaults = dict(zip(cls._fields[len(cls._fields) - len(defaults):], defaults))
+
+    def __eq__(self, other: object) -> bool:  # which also makes records unhashable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Work(_Record):
+    def __init__(self, id: str, name: str, work_type: WorkType, form: WorkForm,
+                 license: Optional[str] = None, origin: Origin = Origin.USER_DECLARED) -> None:
+        self.id = id
+        self.name = name
+        self.work_type = work_type
+        self.form = form
+        self.license = license
+        self.origin = origin
 
 
 class ActionInput(NamedTuple):
@@ -180,18 +205,22 @@ class ActionInput(NamedTuple):
     role: InputRole = InputRole.PRIMARY
 
 
-@dataclass
-class ActionNode:
-    id: str
-    kind: ActionKind
-    inputs: list[ActionInput]
-    output: str
-    publish_manner: Optional[PublishManner] = None
-    publish_form: Optional[WorkForm] = None
-    license_to_register: Optional[str] = None
-    # Training-data inputs listed here are treated as co-published parts of
-    # the trained model rather than discarded raw material.
-    copublish: set[str] = field(default_factory=set)
+class ActionNode(_Record):
+    def __init__(self, id: str, kind: ActionKind, inputs: list[ActionInput], output: str,
+                 publish_manner: Optional[PublishManner] = None,
+                 publish_form: Optional[WorkForm] = None,
+                 license_to_register: Optional[str] = None,
+                 copublish: AbstractSet[str] = frozenset()) -> None:
+        self.id = id
+        self.kind = kind
+        self.inputs = inputs
+        self.output = output
+        self.publish_manner = publish_manner
+        self.publish_form = publish_form
+        self.license_to_register = license_to_register
+        # Training-data inputs listed here are treated as co-published parts of
+        # the trained model rather than discarded raw material.
+        self.copublish = copublish
 
 
 class DependencyEdge(NamedTuple):
@@ -202,15 +231,18 @@ class DependencyEdge(NamedTuple):
     target: str
 
 
-@dataclass
-class WorkflowGraph:
-    works: dict[str, Work] = field(default_factory=dict)
-    actions: dict[str, ActionNode] = field(default_factory=dict)
-    edges: list[DependencyEdge] = field(default_factory=list)
-    rulings: list[RulingRecord] = field(default_factory=list)
-    requests: list[RequestRecord] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
+class WorkflowGraph(_Record):
+    # A container left out starts empty, one per graph.
+    def __init__(self, works: Optional[dict[str, Work]] = None,
+                 actions: Optional[dict[str, ActionNode]] = None,
+                 edges: Optional[list[DependencyEdge]] = None,
+                 rulings: Optional[list[RulingRecord]] = None,
+                 requests: Optional[list[RequestRecord]] = None) -> None:
+        self.works = {} if works is None else works
+        self.actions = {} if actions is None else actions
+        self.edges = [] if edges is None else edges
+        self.rulings = [] if rulings is None else rulings
+        self.requests = [] if requests is None else requests
         # Derived from `actions` and kept current by `add_action`: each
         # work's producing action, and the outputs of the actions consuming it.
         self.producers: dict[str, ActionNode] = {}

@@ -10,7 +10,6 @@ derives the usage rights each action needs from the works it touches.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, NamedTuple, Optional
 
@@ -76,8 +75,7 @@ class RequestRecord(NamedTuple):
         return f"req:{self.action}:{self.source_work}:{self.target_work}:{self.usage.value}"
 
 
-@dataclass(frozen=True)
-class DeferredConflict:
+class DeferredConflict(NamedTuple):
     """A work whose rulings could not be licensed consistently."""
 
     work: str
@@ -93,10 +91,10 @@ class Licensing(NamedTuple):
     admitted: Optional[frozenset[str]]  # what its rulings admit, None if unconstrained
 
 
-@dataclass
-class FixpointStats:
+class FixpointStats(NamedTuple):
     iterations: int = 0
     records_created: int = 0
+    __hash__ = None  # not hashable, as a mutable record is not
 
 
 _IDENTITY_KINDS = {ActionKind.COPY, ActionKind.PUBLISH}
@@ -253,7 +251,7 @@ def _licensing(
     if pinned:
         terms = [{license_id} for license_id in none_allowed]
         terms += (kb.profile(license_id).compatible_with for license_id in sorted(compat_only))
-        admitted = frozenset(set.intersection(*terms))
+        admitted = frozenset(terms[0]).intersection(*terms[1:])
     license_id = _declared_license(work)
     if license_id is not None:
         return _new(Licensing, (license_id, None, frozenset({license_id}), admitted))

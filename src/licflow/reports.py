@@ -9,8 +9,8 @@ is fixed per code; only the subject's display name is interpolated.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Severity(Enum):
@@ -86,8 +86,7 @@ TEMPLATES: dict[ReportCode, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """One finding: a coded message about a subject work, raised for a target work."""
 
     code: ReportCode  # catalog code, e.g. E2

@@ -1,14 +1,13 @@
 """Shared builders for the test suite.
 
 Small factory functions keep the tests focused on the scenario being
-exercised instead of on dataclass plumbing. Micro knowledge bases built
+exercised instead of on record plumbing. Micro knowledge bases built
 here let a test isolate one license feature without dragging in the
 whole bundled rule set.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional
@@ -245,7 +244,7 @@ def relicensing_kb(profiles: Iterable[LicenseProfile]) -> KnowledgeBase:
     """
     return kb_of(
         *(
-            dataclasses.replace(prof, rules=[
+            prof._replace(rules=[
                 rule(f"{prof.id}:{policy.value}", prof.id, (), relicense=policy)
                 for policy in RelicensePolicy
             ])

@@ -11,7 +11,6 @@ record.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Iterable, Optional, get_args, get_origin, get_type_hints
 
@@ -241,13 +240,13 @@ def _naive_schema(kind: type, *skip: str) -> dict[str, tuple[type, bool, bool]]:
     """(item type, is a set, is required) of each key, read off the fields."""
     hints = get_type_hints(kind)
     schema = {}
-    for f in fields(kind):
-        if f.name in skip:
+    for name in kind._fields:
+        if name in skip:
             continue
-        hint = hints[f.name]
+        hint = hints[name]
         many = get_origin(hint) is set
-        required = f.default is MISSING and f.default_factory is MISSING
-        schema[f.name] = (get_args(hint)[0] if many else hint, many, required)
+        required = name not in kind._field_defaults
+        schema[name] = (get_args(hint)[0] if many else hint, many, required)
     return schema
 
 
@@ -321,7 +320,7 @@ def _naive_profile(path: Path, entries: dict[str, str]) -> LicenseProfile:
     stated = {k: v for k, v in entries.items() if not k.startswith("meta.")}
     metadata = {k[len("meta."):]: v for k, v in entries.items() if k.startswith("meta.")}
     values = _naive_read(_NAIVE_PROFILE_SCHEMA, stated, where)
-    profile = LicenseProfile(**values, metadata=metadata)
+    profile = LicenseProfile(**values, rules=[], metadata=metadata)
     overlap = profile.granted & profile.reserved
     if overlap:
         names = ", ".join(sorted(u.value for u in overlap))

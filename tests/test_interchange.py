@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import pytest
 
 from licflow import (
@@ -72,10 +70,10 @@ TUNE = """mg:tune a mg:ModifyAction ;
 
 @pytest.mark.parametrize("node, cls", [(_WORK, Work), (_ACTION, ActionNode)])
 def test_every_field_is_filled_by_its_own_predicates(node, cls):
-    predicates = {f.name: [] for f in fields(cls) if f.name not in ("id", "kind")}
+    predicates = {name: [] for name in cls._fields if name not in ("id", "kind")}
     for entry in node.table:
         predicates[entry.field].append(entry.predicate)
-    assert set(predicates) == {f.name for f in fields(cls)} - {"id", "kind"}
+    assert set(predicates) == set(cls._fields) - {"id", "kind"}
     for name, named_by in predicates.items():
         # An action's inputs are stated with one predicate per role.
         expected = len(InputRole) if name == "inputs" else 1

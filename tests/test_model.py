@@ -182,14 +182,14 @@ def test_a_chain_written_last_step_first_builds_in_linear_steps(monkeypatch):
     header, _, body = text.partition("\n\n")
     blocks = body.rstrip("\n").split("\n\n")
     reversed_text = header + "\n\n" + "\n\n".join(reversed(blocks)) + "\n"
-    original_init = WorkflowGraph.__post_init__
+    original_init = WorkflowGraph.__init__
 
-    def counted_init(graph):
-        original_init(graph)
+    def counted_init(graph, *args, **kwargs):
+        original_init(graph, *args, **kwargs)
         graph.producers = _CountedLookups()
         graph.consumers = _CountedLookups()
 
-    monkeypatch.setattr(WorkflowGraph, "__post_init__", counted_init)
+    monkeypatch.setattr(WorkflowGraph, "__init__", counted_init)
     monkeypatch.setattr(_CountedLookups, "calls", 0)
     # Each action's inputs have no producers yet, so its check stops after
     # one step; walking the output's downstream works would visit about
