@@ -14,7 +14,6 @@ import gc
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from .analyzer import (
@@ -45,7 +44,7 @@ DISCLAIMER = (
 def _load_kb(args: argparse.Namespace) -> KnowledgeBase:
     paths = args.kb or [os.environ.get(KB_ENV_VAR) or bundled_rules_dir()]
     try:
-        return load_kb([Path(p) for p in paths])
+        return load_kb(paths)
     except OSError as err:
         raise KBError(str(err)) from err
 
@@ -200,17 +199,17 @@ def _build_parser() -> argparse.ArgumentParser:
             help="license knowledge base file or directory (repeatable; "
             f"default ${KB_ENV_VAR} or the bundled set)",
         )
-        p.add_argument(
-            "--fuzz",
-            choices=["on", "off"],
-            default="on",
-            help="widen form matching from concrete forms to their category",
-        )
 
     analyze = sub.add_parser("analyze", help="reason over a workflow and report")
     analyze.set_defaults(run=cmd_analyze)
     analyze.add_argument("workflow", help="workflow file to analyze")
     add_common(analyze)
+    analyze.add_argument(
+        "--fuzz",
+        choices=["on", "off"],
+        default="on",
+        help="widen form matching from concrete forms to their category",
+    )
     analyze.add_argument(
         "--output", choices=["human", "structured", "dot"], default="human"
     )

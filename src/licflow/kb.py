@@ -258,8 +258,6 @@ def _schema(kind: type, *skip: str) -> _Schema:
 
 _PROFILE_SCHEMA = _schema(LicenseProfile, "rules", "metadata")
 _RULE_SCHEMA = _schema(Rule, "license")
-_PROFILE_KEYS = _PROFILE_SCHEMA[0].keys()
-_RULE_KEYS = _RULE_SCHEMA[0].keys()
 
 
 class _SectionFault(Exception):
@@ -406,6 +404,8 @@ def load_kb(paths: Sequence[Union[str, Path]]) -> KnowledgeBase:
     # one only to word its fault, and `Path(file)` reads as `path / name`.
     files: list[str] = []
     for entry in paths:
+        if entry == "":
+            raise ParseError("the rules path is empty")
         path = Path(entry)
         if path.is_dir():
             names = sorted(name for name in os.listdir(path) if name.endswith(".mgl"))

@@ -295,59 +295,34 @@ def closure(start: str, parents: Mapping[str, Iterable[str]]) -> set[str]:
     return seen
 
 
-def _check_arity(graph: WorkflowGraph, action: ActionNode) -> None:
+def _check_arity(action: ActionNode) -> None:
+    kind = action.kind
     roles = [inp.role for inp in action.inputs]
-    primaries = roles.count(_PRIMARY)
-    training = roles.count(_TRAINING)
-
-    if training and action.kind is not _TRAIN:
-        raise ArityViolation(
-            f"action {action.id!r}: training data inputs are only valid on train"
-        )
-    if action.kind is _PUBLISH or action.kind is _REGISTER:
-        if len(action.inputs) != 1 or primaries != 1:
-            raise ArityViolation(
-                f"action {action.id!r}: {action.kind.value} takes exactly one primary input"
-            )
-    elif action.kind is _COMBINE:
-        if primaries < 1:
-            raise ArityViolation(
-                f"action {action.id!r}: combine needs at least one primary input"
-            )
+    if _TRAINING in roles and kind is not _TRAIN:
+        fault = "training data inputs are only valid on train"
+    elif kind is _COMBINE and _PRIMARY not in roles:
+        fault = "combine needs at least one primary input"
+    elif kind is not _COMBINE and (
+        roles.count(_PRIMARY) != 1 or (len(roles) != 1 and (kind is _PUBLISH or kind is _REGISTER))
+    ):
+        fault = f"{kind.value} takes exactly one primary input"
+    elif kind is _PUBLISH and action.publish_manner is None:
+        fault = "publish requires a manner"
+    elif action.publish_manner is not None and kind is not _PUBLISH:
+        fault = "publish manner is only valid on publish"
+    elif action.publish_form is not None and kind is not _PUBLISH:
+        fault = "publish form is only valid on publish"
+    elif kind is _REGISTER and not action.license_to_register:
+        fault = "register_license requires a license id"
+    elif action.license_to_register is not None and kind is not _REGISTER:
+        fault = "a license can only be set by register_license"
+    elif action.copublish and (
+        stray := action.copublish - {inp.work for inp in action.inputs if inp.role is _TRAINING}
+    ):
+        fault = "copublish names non training data inputs: " + ", ".join(sorted(stray))
     else:
-        if primaries != 1:
-            raise ArityViolation(
-                f"action {action.id!r}: {action.kind.value} takes exactly one primary input"
-            )
-
-    if action.kind is _PUBLISH:
-        if action.publish_manner is None:
-            raise ArityViolation(f"action {action.id!r}: publish requires a manner")
-    elif action.publish_manner is not None:
-        raise ArityViolation(
-            f"action {action.id!r}: publish manner is only valid on publish"
-        )
-    if action.publish_form is not None and action.kind is not _PUBLISH:
-        raise ArityViolation(
-            f"action {action.id!r}: publish form is only valid on publish"
-        )
-    if action.kind is _REGISTER:
-        if not action.license_to_register:
-            raise ArityViolation(
-                f"action {action.id!r}: register_license requires a license id"
-            )
-    elif action.license_to_register is not None:
-        raise ArityViolation(
-            f"action {action.id!r}: a license can only be set by register_license"
-        )
-    if action.copublish:
-        training_ids = {inp.work for inp in action.inputs if inp.role is _TRAINING}
-        stray = action.copublish - training_ids
-        if stray:
-            raise ArityViolation(
-                f"action {action.id!r}: copublish names non training data inputs: "
-                + ", ".join(sorted(stray))
-            )
+        return
+    raise ArityViolation(f"action {action.id!r}: {fault}")
 
 
 def _feeds_any(graph: WorkflowGraph, output: str, inputs: list[str]) -> bool:
@@ -381,7 +356,7 @@ def add_action(graph: WorkflowGraph, action: ActionNode) -> None:
             raise UnknownWork(f"action {action.id!r}: unknown input work {inp.work!r}")
     if action.output not in graph.works:
         raise UnknownWork(f"action {action.id!r}: unknown output work {action.output!r}")
-    _check_arity(graph, action)
+    _check_arity(action)
     if action.output in graph.producers:
         raise DoubleProducer(
             f"work {action.output!r} is already produced by another action"

@@ -13,10 +13,12 @@ from licflow import (
     EdgeKind,
     ExitClass,
     NotPublished,
+    OutputDefinition,
     PublishManner,
     RelicensePolicy,
     Restriction,
     Revocability,
+    RulingRecord,
     Usage,
     WorkForm,
     WorkType,
@@ -856,6 +858,23 @@ def test_an_index_answers_as_a_fresh_run_or_refuses_after_rulings_are_edited(see
                 refused += 1
     # An edit that changes no ruling, license or request leaves the index standing.
     assert answered > 0 and refused > 0, (answered, refused)
+
+
+def test_a_ruling_under_a_rule_the_kb_lacks_changes_no_report(seed_kb, setting_paths):
+    # A library caller may append a ruling whose rule id no loaded profile
+    # defines; every stage after the fixpoint skips it.
+    for path in setting_paths.values():
+        reasoned, _ = run_all(parse_workflow(path.read_text(encoding="utf-8")), seed_kb)
+        targets = published_targets(reasoned)
+        before = {t: analyze_publication(reasoned, seed_kb, t).reports for t in targets}
+        reasoned.rulings += [
+            RulingRecord(wid, wid, "no-such-rule", OutputDefinition.DERIVATIVE)
+            for wid in sorted(reasoned.works)
+        ]
+        determine_licenses(reasoned, seed_kb)
+        derive_requests(reasoned, seed_kb)
+        after = {t: analyze_publication(reasoned, seed_kb, t).reports for t in targets}
+        assert after == before and any(before.values()), path.name
 
 
 def test_one_index_renders_each_wording_once(seed_kb, monkeypatch):

@@ -1033,6 +1033,31 @@ def test_a_bad_kb_path_is_a_usage_failure(tmp_path, capsys):
         assert err.startswith("licflow: error:") and "cannot write output" not in err
 
 
+def test_an_empty_kb_path_is_refused_not_read_as_the_working_directory(
+    tmp_path, monkeypatch, setting_paths, capsys
+):
+    # `Path("")` is `.`: read as a path, the empty string loads the .mgl files here.
+    (tmp_path / "mit.mgl").write_bytes((bundled_rules_dir() / "mit.mgl").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    for argv in (["licenses", "--kb", ""], ["analyze", str(setting_paths["i"]), "--kb", ""]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "licflow: error: the rules path is empty\n"
+    with pytest.raises(licflow.ParseError, match="the rules path is empty"):
+        licflow.load_kb([bundled_rules_dir(), ""])
+    # An empty environment variable is unset, not an empty path.
+    monkeypatch.setenv(KB_ENV_VAR, "")
+    assert main(["licenses"]) == ExitClass.CLEAN.value
+    assert "GPL-3.0" in capsys.readouterr().out
+
+
+def test_fuzz_is_an_analyze_option_only(capsys):
+    assert main(["licenses", "--fuzz", "off"]) == EXIT_USAGE
+    assert "unrecognized arguments: --fuzz off" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # explain
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from licflow import (
 )
 from licflow import kb as kb_module
 from licflow.kb import (
-    _PROFILE_KEYS,
-    _RULE_KEYS,
+    _PROFILE_SCHEMA,
+    _RULE_SCHEMA,
     match_rules,
     usage_requirement,
 )
@@ -281,7 +281,7 @@ def test_a_rule_without_a_required_key_names_it(tmp_path, key):
 
 
 def test_the_rules_file_keys_are_the_profile_and_rule_fields():
-    assert _PROFILE_KEYS | _RULE_KEYS == {
+    assert _PROFILE_SCHEMA[0].keys() | _RULE_SCHEMA[0].keys() == {
         "id",
         "name",
         "framework",

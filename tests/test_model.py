@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import re
 import time
 from pathlib import Path
@@ -11,10 +13,12 @@ import pytest
 from licflow import (
     ActionInput,
     ActionKind,
+    ActionNode,
     ArityViolation,
     CycleIntroduced,
     DoubleProducer,
     DuplicateId,
+    GraphError,
     InputRole,
     PublishManner,
     ReportCode,
@@ -389,6 +393,38 @@ def test_auxiliary_inputs_allowed_on_transforming_actions():
     )
     roles = {inp.work: inp.role for inp in graph.actions["act"].inputs}
     assert roles == {"A": InputRole.PRIMARY, "H": InputRole.AUXILIARY}
+
+
+# Computed by the checker that raised once per arity rule: any change of
+# outcome, exception class, wording or rule precedence changes it.
+_SHAPE_DIGEST = "6d971456da3c4bf6a4c34b515a6062f1c9dc3430fac56f9251c97053c04f7a56"
+
+
+def test_every_action_shape_keeps_its_outcome_and_message():
+    """10 kinds x 40 role lists x manner x form x license x copublish: 14,400 shapes."""
+    works = {w.id: w for w in (
+        work("I0"), work("I1"), work("I2"), work("X"),
+        work("O", WorkType.SOFTWARE, WorkForm.CODE),
+    )}
+    role_lists = [
+        roles for n in range(4) for roles in itertools.product(InputRole, repeat=n)
+    ]
+    digest = hashlib.sha256()
+    for kind, roles, manner, form, license, copublish in itertools.product(
+        ActionKind, role_lists, (None, PublishManner.SHARE), (None, WorkForm.CODE),
+        (None, "", "MIT"), (frozenset(), frozenset({"I0"}), frozenset({"I1", "X"})),
+    ):
+        inputs = [ActionInput(f"I{i}", role) for i, role in enumerate(roles)]
+        try:
+            add_action(WorkflowGraph(works=works), ActionNode(
+                "a", kind, inputs, "O", manner, form, license, copublish))
+            outcome = None
+        except GraphError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        shape = (kind.value, [r.value for r in roles], manner and manner.value,
+                 form and form.value, license, sorted(copublish))
+        digest.update(f"{shape} {outcome}\n".encode("utf-8"))
+    assert digest.hexdigest() == _SHAPE_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from licflow import (
 from licflow import interchange
 from licflow.cli import main
 from licflow.interchange import _CLASSES, _NAME_RE, _PREDICATES, Ident, parse_document
-from licflow.kb import _PROFILE_KEYS, _RULE_KEYS
+from licflow.kb import _PROFILE_SCHEMA, _RULE_SCHEMA
 
 from _helpers import action, graph_of, inputs_of, work
 from graphgen import random_graph
@@ -186,7 +186,7 @@ _edited_rules = st.lists(
     st.tuples(
         st.integers(0, 100),
         st.sampled_from(["key", "value"]),
-        st.sampled_from(sorted(_PROFILE_KEYS | _RULE_KEYS)) | _values,
+        st.sampled_from(sorted(_PROFILE_SCHEMA[0].keys() | _RULE_SCHEMA[0].keys())) | _values,
     ),
     max_size=3,
 ).map(lambda edits: _edit(_VALID_RULES.splitlines(), edits))
